@@ -28,7 +28,6 @@
 //
 // Usage: bench_scale [--quick] [--profile] [--json PATH] [--clusters K]
 //                    [--repeat N] [--grid-threads T] [--sizes N,N,...]
-//                    [--shard-placement lpt|round-robin]
 //
 // --grid-threads sets the worker count of the grid_sharded phase (the
 // same 16-cluster grid point replayed through sim/shard_sim.h); 0 (the
@@ -43,17 +42,14 @@
 // run that exercises it).  CI keeps the quick ladder and additionally
 // smokes a scaled-down 64-cluster point via --sizes.
 //
-// --shard-placement selects the cluster->shard strategy of the
-// grid_sharded phase (default lpt; round-robin is the legacy layout).
-// Placement is outcome-neutral by the determinism contract — this knob
-// exists to measure what load-aware placement buys, not to change
-// results.
-//
-// Each size point exports `shard_efficiency` = sharded events/sec over
-// serial grid events/sec.  The name deliberately avoids the gated
-// *_per_sec suffix: on small runners (or --grid-threads 1) the ratio
-// hovers around or below 1 and would flap a throughput gate; it is a
-// trajectory metric, read from the uploaded artifacts.
+// Each size point exports `shard_wall_ratio` = grid_sim wall time over
+// grid_sharded wall time for the same replay (> 1: sharding paid).  A
+// wall-time ratio, not an events/sec one: the sharded engine executes
+// no arrival-pump events, so its event count is not comparable.  The
+// name deliberately avoids the gated speedup* / *_per_sec keys: on
+// small runners (or --grid-threads 1) the ratio hovers around or below
+// 1 and would flap a gate; it is a trajectory metric, read from the
+// uploaded artifacts.
 //
 // --profile prints the embedded profiler's zone/counter summary to
 // stderr; the JSON always carries the zone tree under "profile" (empty
@@ -175,7 +171,7 @@ void keep_best(PhaseResult& best, const PhaseResult& candidate) {
 }
 
 SizeResult run_size(std::size_t n, int clusters, std::uint64_t seed,
-                    int repeat, int grid_threads, ShardPlacement placement) {
+                    int repeat, int grid_threads) {
   SizeResult res;
   res.jobs = n;
 
@@ -272,7 +268,7 @@ SizeResult run_size(std::size_t n, int clusters, std::uint64_t seed,
     arena.reset();
     GridSimOptions opts;
     ShardGridSim grid(make_skewed_grid(clusters, 64, /*skew=*/1.0), opts,
-                      grid_threads, &arena, placement);
+                      grid_threads, &arena);
     res.shard_threads = grid.shard_count();
     const prof::Snapshot before = prof::snapshot();
     const auto t0 = std::chrono::steady_clock::now();
@@ -329,13 +325,12 @@ void phase_json(JsonWriter& w, const char* name, const PhaseResult& p,
 }
 
 std::string to_json(const std::vector<SizeResult>& results, int clusters,
-                    bool quick, ShardPlacement placement) {
+                    bool quick) {
   JsonWriter w;
   w.begin_object();
   w.key("bench").value("scale");
   w.key("quick").value(quick);
   w.key("clusters").value(clusters);
-  w.key("shard_placement").value(to_string(placement));
   w.key("sizes").begin_array();
   for (const SizeResult& r : results) {
     w.begin_object();
@@ -349,14 +344,11 @@ std::string to_json(const std::vector<SizeResult>& results, int clusters,
     // Worker count of the sharded phase (an input echo, not a gate key:
     // no *_per_sec / *_bytes suffix).
     w.key("shard_threads").value(r.shard_threads);
-    // Sharded-over-serial throughput ratio for the SAME grid point.
-    // Deliberately NOT named *_per_sec / speedup*: on single-core
-    // runners (and --grid-threads 1) the coordinator overhead puts the
-    // ratio at or below 1, so gating it would flap — it is a scaling
-    // trajectory metric for the uploaded artifacts.
-    if (r.grid_sim.events_per_sec > 0.0)
-      w.key("shard_efficiency")
-          .value(r.grid_sharded.events_per_sec / r.grid_sim.events_per_sec);
+    // Serial-over-sharded wall time for the SAME replay; ungated on
+    // purpose (see the file header).
+    if (r.grid_sharded.wall_s > 0.0)
+      w.key("shard_wall_ratio")
+          .value(r.grid_sim.wall_s / r.grid_sharded.wall_s);
     // Allocator introspection: the trace store's slabs and the replay
     // arena's counters after the final grid repetition.  The *_bytes
     // leaves are deterministic for a given (n, seed, spec), so
@@ -419,7 +411,6 @@ int main(int argc, char** argv) {
   int clusters = 16;
   int repeat = 3;
   int grid_threads = 0;  // 0 = auto: min(8, hardware_concurrency)
-  ShardPlacement placement = ShardPlacement::kLpt;
   std::vector<std::size_t> explicit_sizes;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
@@ -454,18 +445,10 @@ int main(int argc, char** argv) {
                      "positive job counts (e.g. 100000,10000000)\n";
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--shard-placement") == 0 &&
-               i + 1 < argc) {
-      try {
-        placement = shard_placement_from_string(argv[++i]);
-      } catch (const std::invalid_argument&) {
-        std::cerr << "error: --shard-placement wants lpt or round-robin\n";
-        return 2;
-      }
     } else {
       std::cerr << "usage: bench_scale [--quick] [--profile] [--json PATH] "
                    "[--clusters K] [--repeat N] [--grid-threads T] "
-                   "[--sizes N,N,...] [--shard-placement lpt|round-robin]\n";
+                   "[--sizes N,N,...]\n";
       return 2;
     }
   }
@@ -487,7 +470,7 @@ int main(int argc, char** argv) {
   std::vector<SizeResult> results;
   for (std::size_t n : sizes) {
     results.push_back(
-        run_size(n, clusters, /*seed=*/42, repeat, grid_threads, placement));
+        run_size(n, clusters, /*seed=*/42, repeat, grid_threads));
     const SizeResult& r = results.back();
     std::cerr << "jobs=" << r.jobs << "  online " << r.online_cluster.wall_s
               << "s (" << static_cast<long>(r.online_cluster.events_per_sec)
@@ -501,7 +484,7 @@ int main(int argc, char** argv) {
 
   if (profile) std::cerr << prof::summary(prof::snapshot());
 
-  const std::string json = to_json(results, clusters, quick, placement);
+  const std::string json = to_json(results, clusters, quick);
   std::cout << json;
   if (!json_path.empty()) {
     std::ofstream f(json_path);

@@ -95,8 +95,7 @@ GridCellResult evaluate_grid_cell(const GridSweepSpec& spec,
     // grid_threads workers.  Bit-identical to the serial branch (the
     // sharding determinism contract), so the axis changes wall-clock
     // only — tests/test_grid_sweep.cpp compares the reports.
-    ShardGridSim sim(grid, opts, spec.grid_threads, &arena,
-                     spec.shard_placement);
+    ShardGridSim sim(grid, opts, spec.grid_threads, &arena);
     sim.submit_workloads(make_grid_workloads(spec, cell));
     r = sim.run();
     result.violations = validate_grid_result(sim, r);
@@ -157,7 +156,6 @@ std::string grid_report_json(const GridSweepSpec& spec,
   w.key("volatility_events").value(spec.volatility.events);
   w.key("threads").value(spec.threads);
   w.key("grid_threads").value(spec.grid_threads);
-  w.key("shard_placement").value(to_string(spec.shard_placement));
   w.key("cluster_counts").begin_array();
   for (int n : spec.cluster_counts) w.value(n);
   w.end_array();

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sim/grid_sim.h"
-#include "sim/shard_sim.h"
 
 namespace lgs {
 
@@ -66,16 +65,14 @@ struct GridSweepSpec {
   int threads = 0;
 
   /// Inner per-replay worker threads: each cell runs its grid through
-  /// the sharded engine (sim/shard_sim.h) with this many shard workers.
-  /// 1 (the default) keeps the serial GridSim; 0 = hardware
-  /// concurrency.  Bit-identical at every value by the sharding
-  /// determinism contract — a sweep axis for scaling studies, never for
-  /// results.
+  /// the sharded engine (sim/shard_sim.h) with this many shard workers,
+  /// placed by the engine's LPT partition.  1 (the default) keeps the
+  /// serial GridSim; 0 = hardware concurrency.  Threshold and economic
+  /// cells always replay on one shard (the engine clamps dynamic
+  /// routing to its serial path).  Bit-identical at every value by the
+  /// sharding determinism contract — a sweep axis for scaling studies,
+  /// never for results.
   int grid_threads = 1;
-
-  /// Cluster -> shard placement when grid_threads != 1 (outcome-neutral
-  /// by the determinism contract; LPT balances the skewed ladders).
-  ShardPlacement shard_placement = ShardPlacement::kLpt;
 
   /// The replicate seeds actually used (explicit list or derived).
   std::vector<std::uint64_t> replicate_seeds() const;

@@ -157,13 +157,6 @@ void GridSim::submit_store(const JobStore& store) {
     clusters_[c]->reserve_submissions(counts[c]);
 }
 
-std::size_t GridSim::fallback_target(std::size_t target, int min_procs) const {
-  if (min_procs <= clusters_[target]->processors()) return target;
-  for (std::size_t c = 0; c < clusters_.size(); ++c)
-    if (min_procs <= clusters_[c]->processors()) return c;
-  throw std::invalid_argument("job wider than every cluster in the grid");
-}
-
 void schedule_cluster_volatility(Simulator& sim, OnlineCluster& cl,
                                  const VolatilityProfile& vol,
                                  std::uint64_t seed,
@@ -239,42 +232,75 @@ void GridSim::pump_arrivals() {
   schedule_next_arrival();
 }
 
-void GridSim::route(std::size_t pending_index) {
+void sort_route_order(const JobStore& jobs,
+                      const ArenaVec<GridPending>& pending,
+                      ArenaVec<std::uint32_t>& order) {
+  order.resize(pending.size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&jobs, &pending](std::uint32_t a, std::uint32_t b) {
+                     return effective_grid_release(
+                                jobs[pending[a].index].release) <
+                            effective_grid_release(
+                                jobs[pending[b].index].release);
+                   });
+}
+
+std::size_t grid_route_target(
+    const std::vector<std::unique_ptr<OnlineCluster>>& clusters,
+    const GridSimOptions& opts, const JobStore& jobs,
+    const GridPending* pending, const std::uint32_t* plan, std::size_t i,
+    long* migrations) {
   LGS_PROF_COUNT("grid.routes", 1);
-  const Pending& p = pending_[pending_index];
-  const JobStore& js = jobs();
+  const GridPending& p = pending[i];
   std::size_t target = p.home;
-  switch (opts_.routing) {
+  switch (opts.routing) {
     case GridRouting::kIsolated:
       break;
     case GridRouting::kThreshold:
     case GridRouting::kEconomic: {
       ExchangeOptions ex;
-      ex.policy = to_exchange_policy(opts_.routing);
-      ex.wait_threshold = opts_.wait_threshold;
-      ex.migration_penalty = opts_.migration_penalty;
+      ex.policy = to_exchange_policy(opts.routing);
+      ex.wait_threshold = opts.wait_threshold;
+      ex.migration_penalty = opts.migration_penalty;
       // The exchange policies consume the fat interface: materialize a
       // transient Job (identical field values — from_ref rebuilds the
       // exact model) for the bidding round only.
-      Job j = js.job(p.index);
+      Job j = jobs.job(p.index);
       j.release = 0.0;
       LGS_PROF_COUNT("grid.exchange_bids", 1);
-      target = exchange_target(clusters_, p.home, j, ex);
+      target = exchange_target(clusters, p.home, j, ex);
       break;
     }
     case GridRouting::kGlobalPlan:
-      target = plan_[pending_index];
+      target = plan[i];
       break;
   }
-  const HotJob& row = js[p.index];
-  target = fallback_target(target, row.min_procs);
+  // Width fallback: a cluster too small for the job hands it to the
+  // first cluster wide enough.
+  const int min_procs = jobs[p.index].min_procs;
+  if (min_procs > clusters[target]->processors()) {
+    std::size_t c = 0;
+    while (c < clusters.size() && min_procs > clusters[c]->processors()) ++c;
+    if (c == clusters.size())
+      throw std::invalid_argument("job wider than every cluster in the grid");
+    target = c;
+  }
   if (target != p.home) {
-    ++migrations_;
+    ++*migrations;
     LGS_PROF_COUNT("grid.migrations", 1);
   }
+  return target;
+}
+
+void GridSim::route(std::size_t pending_index) {
+  const JobStore& js = jobs();
+  const std::size_t target =
+      grid_route_target(clusters_, opts_, js, pending_.data(), plan_.data(),
+                        pending_index, &migrations_);
   // Hot 64-byte hand-off, release overridden to "now" (routing runs at
   // the release instant) — no fat Job on the replay path.
-  HotJob h = row;
+  HotJob h = js[pending_[pending_index].index];
   h.release = 0.0;
   clusters_[target]->submit_local(h, js.tables());
 }
@@ -292,16 +318,7 @@ void GridSim::prepare_run() {
                         plan_.data());
   }
 
-  // Stable sort: equal release times route in submission order, exactly
-  // as the replaced per-job events did (their ids broke the tie).
-  route_order_.resize(pending_.size());
-  std::iota(route_order_.begin(), route_order_.end(), std::uint32_t{0});
-  std::stable_sort(
-      route_order_.begin(), route_order_.end(),
-      [this](std::uint32_t a, std::uint32_t b) {
-        return effective_grid_release(jobs()[pending_[a].index].release) <
-               effective_grid_release(jobs()[pending_[b].index].release);
-      });
+  sort_route_order(jobs(), pending_, route_order_);
   schedule_next_arrival();
   schedule_volatility();
 }

@@ -173,6 +173,28 @@ void plan_global_targets(const LightGrid& grid, const JobStore& jobs,
                          const GridPending* pending, std::size_t n,
                          std::uint32_t* targets);
 
+/// Route order shared by both engines: the indices of `pending` stably
+/// sorted by effective release, so equal releases route in submission
+/// order (the tie-break of the per-job route events the arrival pump
+/// replaced).  Resizes `order` to pending.size().
+void sort_route_order(const JobStore& jobs,
+                      const ArenaVec<GridPending>& pending,
+                      ArenaVec<std::uint32_t>& order);
+
+/// The routing rule of both engines, applied to pending[i] at its
+/// arrival instant: the home cluster (isolated), the exchange winner
+/// (threshold / economic — the bids read every cluster's current
+/// expected_wait), or plan[i] (global-plan; `plan` is only read under
+/// that routing), widened to the first cluster at least min_procs wide.
+/// Counts the route in the profiler and a migration in `*migrations`
+/// when the target is not the home cluster.  Throws
+/// std::invalid_argument when the job is wider than every cluster.
+std::size_t grid_route_target(
+    const std::vector<std::unique_ptr<OnlineCluster>>& clusters,
+    const GridSimOptions& opts, const JobStore& jobs,
+    const GridPending* pending, const std::uint32_t* plan, std::size_t i,
+    long* migrations);
+
 /// Aggregate the outcome of a finished replay from the drained clusters
 /// (cluster-index order).  Shared by both engines.
 GridSimResult aggregate_grid_result(
@@ -300,9 +322,6 @@ class GridSim {
     return borrowed_ != nullptr ? *borrowed_ : store_;
   }
 
-  /// Clusters too small for a `min_procs`-wide job fall back to the
-  /// first cluster wide enough (throws when none is).
-  std::size_t fallback_target(std::size_t target, int min_procs) const;
   void schedule_volatility();
   void route(std::size_t pending_index);
   /// The run() prelude (plan, release sort, arrival pump, volatility) —

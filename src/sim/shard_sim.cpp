@@ -1,37 +1,18 @@
 #include "sim/shard_sim.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 
 #include "core/profiler.h"
 #include "core/spsc_ring.h"
-#include "grid/exchange.h"
 
 namespace lgs {
 
-const char* to_string(ShardPlacement p) {
-  switch (p) {
-    case ShardPlacement::kLpt:
-      return "lpt";
-    case ShardPlacement::kRoundRobin:
-      return "round-robin";
-  }
-  return "?";
-}
-
-ShardPlacement shard_placement_from_string(const std::string& s) {
-  if (s == "lpt") return ShardPlacement::kLpt;
-  if (s == "round-robin") return ShardPlacement::kRoundRobin;
-  throw std::invalid_argument("unknown shard placement: " + s);
-}
-
 /// One worker shard: a private arena, a private event queue on it, and
 /// the SPSC mailbox the coordinator streams arrivals through (static
-/// strategies).  `error` carries a worker exception across the join.
+/// strategy).  `error` carries a worker exception across the join.
 struct ShardGridSim::Shard {
   /// One routed arrival: release instant + target cluster + store row.
   struct Arrival {
@@ -58,10 +39,9 @@ struct ShardGridSim::Shard {
 };
 
 ShardGridSim::ShardGridSim(const LightGrid& grid, const GridSimOptions& opts,
-                           int threads, Arena* arena, ShardPlacement placement)
+                           int threads, Arena* arena)
     : grid_(grid),
       opts_(opts),
-      placement_(placement),
       arena_(arena != nullptr ? *arena : owned_arena_),
       store_(ArenaRef(arena_)),
       pending_(ArenaAllocator<GridPending>(ArenaRef(arena_))),
@@ -74,7 +54,13 @@ ShardGridSim::ShardGridSim(const LightGrid& grid, const GridSimOptions& opts,
   const std::size_t want =
       threads > 0 ? static_cast<std::size_t>(threads)
                   : std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t n_shards = std::min(want, grid_.clusters.size());
+  // Exchange bids read every cluster at every arrival instant: no
+  // partition of the clusters can advance independently between two
+  // arrivals, so dynamic routing replays on one shard (the serial path).
+  const bool dynamic = opts_.routing == GridRouting::kThreshold ||
+                       opts_.routing == GridRouting::kEconomic;
+  const std::size_t n_shards =
+      dynamic ? 1 : std::min(want, grid_.clusters.size());
   shards_.reserve(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
     auto sh = std::make_unique<Shard>();
@@ -92,11 +78,7 @@ std::vector<std::uint32_t> ShardGridSim::compute_placement() const {
   const std::size_t n = grid_.clusters.size();
   const std::size_t n_shards = shards_.size();
   std::vector<std::uint32_t> owner(n);
-  if (placement_ == ShardPlacement::kRoundRobin || n_shards <= 1) {
-    for (std::size_t i = 0; i < n; ++i)
-      owner[i] = static_cast<std::uint32_t>(i % n_shards);
-    return owner;
-  }
+  if (n_shards <= 1) return owner;
   // Cost model: processors × (1 + home-trace job count).  The job count
   // proxies expected load (routing may migrate some away, but home
   // counts are the right order of magnitude); the +1 keeps empty
@@ -219,72 +201,14 @@ void ShardGridSim::submit_store(const JobStore& store) {
   }
 }
 
-std::size_t ShardGridSim::fallback_target(std::size_t target,
-                                          int min_procs) const {
-  if (min_procs <= clusters_[target]->processors()) return target;
-  for (std::size_t c = 0; c < clusters_.size(); ++c)
-    if (min_procs <= clusters_[c]->processors()) return c;
-  throw std::invalid_argument("job wider than every cluster in the grid");
-}
-
-std::size_t ShardGridSim::static_target(std::size_t pending_index) const {
-  const GridPending& p = pending_[pending_index];
-  const std::size_t target = opts_.routing == GridRouting::kGlobalPlan
-                                 ? plan_[pending_index]
-                                 : p.home;
-  return fallback_target(target, jobs()[p.index].min_procs);
-}
-
 void ShardGridSim::route_one(std::size_t pending_index) {
-  LGS_PROF_COUNT("grid.routes", 1);
-  const GridPending& p = pending_[pending_index];
   const JobStore& js = jobs();
-  std::size_t target = p.home;
-  switch (opts_.routing) {
-    case GridRouting::kIsolated:
-      break;
-    case GridRouting::kThreshold:
-    case GridRouting::kEconomic: {
-      ExchangeOptions ex;
-      ex.policy = to_exchange_policy(opts_.routing);
-      ex.wait_threshold = opts_.wait_threshold;
-      ex.migration_penalty = opts_.migration_penalty;
-      // Bidding consumes the fat interface (see GridSim::route); the
-      // bid reads expected_wait on clusters of OTHER shards, which is
-      // exactly why the dynamic strategies quiesce every shard at this
-      // instant first.
-      Job j = js.job(p.index);
-      j.release = 0.0;
-      LGS_PROF_COUNT("grid.exchange_bids", 1);
-      target = exchange_target(clusters_, p.home, j, ex);
-      break;
-    }
-    case GridRouting::kGlobalPlan:
-      target = plan_[pending_index];
-      break;
-  }
-  const HotJob& row = js[p.index];
-  target = fallback_target(target, row.min_procs);
-  if (target != p.home) {
-    ++migrations_;
-    LGS_PROF_COUNT("grid.migrations", 1);
-  }
-  HotJob h = row;
+  const std::size_t target =
+      grid_route_target(clusters_, opts_, js, pending_.data(), plan_.data(),
+                        pending_index, &migrations_);
+  HotJob h = js[pending_[pending_index].index];
   h.release = 0.0;
   clusters_[target]->submit_local(h, js.tables());
-}
-
-void ShardGridSim::build_route_order() {
-  // Stable sort: equal release times route in submission order, the
-  // serial engine's tie-break.
-  route_order_.resize(pending_.size());
-  std::iota(route_order_.begin(), route_order_.end(), std::uint32_t{0});
-  std::stable_sort(
-      route_order_.begin(), route_order_.end(),
-      [this](std::uint32_t a, std::uint32_t b) {
-        return effective_grid_release(jobs()[pending_[a].index].release) <
-               effective_grid_release(jobs()[pending_[b].index].release);
-      });
 }
 
 void ShardGridSim::arm_pump() {
@@ -313,7 +237,7 @@ GridSimResult ShardGridSim::run(Time horizon) {
     plan_global_targets(grid_, jobs(), pending_.data(), pending_.size(),
                         plan_.data());
   }
-  build_route_order();
+  sort_route_order(jobs(), pending_, route_order_);
   route_cursor_ = 0;
   const bool coupled = server_ != nullptr && shards_.size() > 1;
   // Serial id layout with bags: bootstrap dispatches took ids 1..N at
@@ -326,16 +250,12 @@ GridSimResult ShardGridSim::run(Time horizon) {
   for (std::size_t c = 0; c < clusters_.size(); ++c)
     schedule_cluster_volatility(*shards_[shard_of_[c]]->sim, *clusters_[c],
                                 opts_.volatility, opts_.volatility_seed, c);
-  const bool static_routing = opts_.routing == GridRouting::kIsolated ||
-                              opts_.routing == GridRouting::kGlobalPlan;
   if (shards_.size() == 1)
     run_single(horizon);
   else if (coupled)
     run_coupled(horizon);
-  else if (static_routing)
-    run_static(horizon);
   else
-    run_windows(horizon);
+    run_static(horizon);
   // The serial clock ends on the globally last event; with every shard
   // drained that is the max over the shard clocks (each shard replays
   // its serial event subsequence, so per-shard finals match).
@@ -440,13 +360,9 @@ void ShardGridSim::run_coupled(Time horizon) {
   // Parallel tail: the FIFO is silent, so the remaining replay obeys
   // the bag-free determinism argument (workers' id draws stay
   // per-shard monotone on the shared counter; concurrent request()
-  // calls only read the drained deque).
-  const bool static_routing = opts_.routing == GridRouting::kIsolated ||
-                              opts_.routing == GridRouting::kGlobalPlan;
-  if (static_routing)
-    run_static(horizon);
-  else
-    run_windows(horizon);
+  // calls only read the drained deque).  Routing is static here:
+  // dynamic routing never runs on more than one shard.
+  run_static(horizon);
 }
 
 void ShardGridSim::worker_static(std::size_t s, Time horizon) {
@@ -485,156 +401,54 @@ void ShardGridSim::worker_static(std::size_t s, Time horizon) {
 }
 
 void ShardGridSim::run_static(Time horizon) {
-  // Static strategies (isolated / global-plan): every routing decision
-  // is computable here, before the clock starts.  The coordinator walks
+  // Static routing (isolated / global-plan): every routing decision is
+  // computable here, before the clock starts.  The coordinator walks
   // the arrivals in global release order and streams each to its target
   // shard's mailbox (staged into kArrivalBatch-deep bulk pushes);
   // workers replay concurrently with zero barriers.
   std::vector<std::thread> pool;
   pool.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    pool.emplace_back([this, s, horizon] { worker_static(s, horizon); });
-  const JobStore& js = jobs();
-  for (auto& sh : shards_) {
-    sh->staging.clear();
-    sh->staging.reserve(Shard::kArrivalBatch);
-  }
-  for (; route_cursor_ < route_order_.size(); ++route_cursor_) {
-    const std::uint32_t idx = route_order_[route_cursor_];
-    const GridPending& p = pending_[idx];
-    const Time t = effective_grid_release(js[p.index].release);
-    if (t > horizon) break;
-    LGS_PROF_COUNT("grid.routes", 1);
-    const std::size_t target = static_target(idx);
-    if (target != p.home) {
-      ++migrations_;
-      LGS_PROF_COUNT("grid.migrations", 1);
-    }
-    Shard& sh = *shards_[shard_of_[target]];
-    sh.staging.push_back(
-        Shard::Arrival{t, static_cast<std::uint32_t>(target), p.index});
-    if (sh.staging.size() >= Shard::kArrivalBatch) {
-      sh.mailbox.push_n(sh.staging.data(), sh.staging.size());
-      sh.staging.clear();
-    }
-  }
-  for (auto& sh : shards_) {
-    if (!sh->staging.empty()) {
-      sh->mailbox.push_n(sh->staging.data(), sh->staging.size());
-      sh->staging.clear();
-    }
-    sh->mailbox.close();
-  }
-  for (auto& th : pool) th.join();
-  for (auto& sh : shards_)
-    if (sh->error) std::rethrow_exception(sh->error);
-}
-
-namespace {
-
-/// Barrier coordinator of the dynamic strategies: the coordinator
-/// issues one command per window (advance to T / final drain / exit)
-/// and blocks until every worker acknowledged — a generation-counter
-/// barrier on one mutex, which also carries the happens-before edges
-/// that let the coordinator touch quiesced shard state in between.
-struct WindowCrew {
-  enum class Cmd { kRunUntil, kDrain, kExit };
-
-  explicit WindowCrew(int workers) : workers_(workers) {}
-
-  /// Coordinator: publish a command and wait for all acknowledgements.
-  void issue(Cmd c, Time t) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cmd_ = c;
-    target_ = t;
-    ++epoch_;
-    pending_ = workers_;
-    cv_cmd_.notify_all();
-    cv_done_.wait(lk, [this] { return pending_ == 0; });
-  }
-
-  /// Worker: park until the next command (returns it + its target).
-  Cmd await(std::uint64_t* seen, Time* t) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_cmd_.wait(lk, [this, seen] { return epoch_ != *seen; });
-    *seen = epoch_;
-    *t = target_;
-    return cmd_;
-  }
-
-  /// Worker: acknowledge the current command as executed.
-  void ack() {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (--pending_ == 0) cv_done_.notify_one();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_cmd_, cv_done_;
-  int workers_;
-  int pending_ = 0;
-  std::uint64_t epoch_ = 0;
-  Cmd cmd_ = Cmd::kExit;
-  Time target_ = 0.0;
-};
-
-}  // namespace
-
-void ShardGridSim::run_windows(Time horizon) {
-  // Dynamic strategies (threshold / economic): exchange bids read every
-  // cluster's expected_wait at each arrival instant, so the engine runs
-  // conservative windows — quiesce all shards at the instant, then the
-  // coordinator alone replays the serial bid/submit sequence (bids at
-  // one instant observe the submissions of the previous ones, exactly
-  // as the serial pump interleaves them).
-  WindowCrew crew(static_cast<int>(shards_.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    pool.emplace_back([this, s, &crew] {
-      LGS_PROF_ZONE("grid.shard_run");
-      Shard& sh = *shards_[s];
-      std::uint64_t seen = 0;
-      for (;;) {
-        Time t = 0.0;
-        const WindowCrew::Cmd c = crew.await(&seen, &t);
-        if (c == WindowCrew::Cmd::kExit) {
-          crew.ack();
-          return;
-        }
-        try {
-          if (c == WindowCrew::Cmd::kRunUntil)
-            sh.sim->run_until(t, kGridArrivalPriority);
-          else
-            sh.sim->run(t);
-        } catch (...) {
-          if (!sh.error) sh.error = std::current_exception();
-        }
-        LGS_PROF_COUNT("grid.shard_barrier_waits", 1);
-        crew.ack();
-      }
-    });
-  const JobStore& js = jobs();
-  try {
-    while (route_cursor_ < route_order_.size()) {
-      const Time t = effective_grid_release(
-          js[pending_[route_order_[route_cursor_]].index].release);
-      if (t > horizon) break;
-      crew.issue(WindowCrew::Cmd::kRunUntil, t);
-      LGS_PROF_COUNT("grid.arrival_batches", 1);
-      while (route_cursor_ < route_order_.size() &&
-             effective_grid_release(
-                 js[pending_[route_order_[route_cursor_]].index].release) <= t)
-        route_one(route_order_[route_cursor_++]);
-    }
-    crew.issue(WindowCrew::Cmd::kDrain, horizon);
-  } catch (...) {
-    crew.issue(WindowCrew::Cmd::kExit, 0.0);
+  // Every exit, normal or by exception (a job wider than every cluster
+  // throws from the routing rule), ends the streams and joins the
+  // workers first: a joinable std::thread must never be destroyed.
+  const auto close_and_join = [this, &pool] {
+    for (auto& sh : shards_) sh->mailbox.close();
     for (auto& th : pool) th.join();
+  };
+  try {
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+      pool.emplace_back([this, s, horizon] { worker_static(s, horizon); });
+    const JobStore& js = jobs();
+    for (auto& sh : shards_) {
+      sh->staging.clear();
+      sh->staging.reserve(Shard::kArrivalBatch);
+    }
+    for (; route_cursor_ < route_order_.size(); ++route_cursor_) {
+      const std::uint32_t idx = route_order_[route_cursor_];
+      const Time t = effective_grid_release(js[pending_[idx].index].release);
+      if (t > horizon) break;
+      const std::size_t target =
+          grid_route_target(clusters_, opts_, js, pending_.data(),
+                            plan_.data(), idx, &migrations_);
+      Shard& sh = *shards_[shard_of_[target]];
+      sh.staging.push_back(Shard::Arrival{
+          t, static_cast<std::uint32_t>(target), pending_[idx].index});
+      if (sh.staging.size() >= Shard::kArrivalBatch) {
+        sh.mailbox.push_n(sh.staging.data(), sh.staging.size());
+        sh.staging.clear();
+      }
+    }
+    for (auto& sh : shards_) {
+      if (!sh->staging.empty()) {
+        sh->mailbox.push_n(sh->staging.data(), sh->staging.size());
+        sh->staging.clear();
+      }
+    }
+  } catch (...) {
+    close_and_join();
     throw;
   }
-  crew.issue(WindowCrew::Cmd::kExit, 0.0);
-  for (auto& th : pool) th.join();
+  close_and_join();
   for (auto& sh : shards_)
     if (sh->error) std::rethrow_exception(sh->error);
 }

@@ -1,6 +1,5 @@
-// Sharded multi-cluster replay (ROADMAP item 1: intra-grid
-// parallelism): the clusters of ONE grid partitioned across worker
-// threads, each advancing its shard's PRIVATE event queue
+// Sharded multi-cluster replay: the clusters of ONE grid partitioned
+// across worker threads, each advancing its shard's PRIVATE event queue
 // (sim/simulator.h) out of a PRIVATE arena — with the hard requirement
 // that the outcome is bit-identical to the serial GridSim, pinned by
 // the FNV-1a golden digests of tests/test_shard_sim.cpp.
@@ -11,33 +10,24 @@
 // dispatch, backfilling, completions, volatility churn — is
 // cluster-private, so the per-cluster event subsequences of the serial
 // replay commute freely across clusters and can run concurrently.
-// Three execution strategies follow (the determinism contract, also in
+// Two parallel strategies follow (the determinism contract, also in
 // docs/ARCHITECTURE.md):
 //
-//  * STATIC routing (isolated / global-plan, no best-effort bags):
-//    every target is computable before the clock starts (the global
-//    plan is an upfront prelude; fallback widening reads only static
-//    processors()).  The coordinator thread streams arrivals in global
-//    release order through one lock-free SPSC mailbox per shard
+//  * STATIC STREAMING (isolated / global-plan routing, no best-effort
+//    bags): every target is computable before the clock starts (the
+//    global plan is an upfront prelude; width fallback reads only
+//    static processors()).  The coordinator thread streams arrivals in
+//    global release order through one lock-free SPSC mailbox per shard
 //    (core/spsc_ring.h), batched per push_n/pop_n to amortize the
 //    atomic traffic; each worker alternates
 //    `run_until(next_arrival, kGridArrivalPriority)` with submissions.
 //    No barriers at all — wall-clock scales with the slowest shard.
 //
-//  * DYNAMIC routing (threshold / economic, no bags): exchange bids
-//    read every cluster's expected_wait at each arrival instant, so the
-//    engine runs conservative time-window barriers: workers quiesce
-//    their shards at the next arrival instant T (run_until pins every
-//    shard clock to exactly T, before the pump's queue position), then
-//    the coordinator alone replays the serial bid/submit sequence while
-//    the workers are parked.
-//
-//  * CENTRAL BEST-EFFORT SERVER configured: every dispatch on every
-//    cluster may consume from the shared grant FIFO — an ordering
-//    coupling no time window preserves, because grant order depends on
-//    the full serial interleaving of dispatches across clusters.  The
-//    engine runs the COUPLED-LOCKSTEP strategy: all shard simulators
-//    draw insertion ids from ONE shared counter
+//  * COUPLED LOCKSTEP (static routing with a central best-effort
+//    server): every dispatch on every cluster may consume from the
+//    shared grant FIFO — an ordering coupling that depends on the full
+//    serial interleaving of dispatches across clusters.  All shard
+//    simulators draw insertion ids from ONE shared counter
 //    (Simulator::share_ids), and the coordinator executes events one
 //    at a time in merged (time, priority, id) order across the shard
 //    queues — by induction this reproduces the serial engine's id
@@ -48,25 +38,31 @@
 //    the campaign completes (`completed() == total_runs()`) the FIFO
 //    is provably silent forever — no run is pending or running
 //    anywhere, so no future dispatch can pop, kill or complete a grant
-//    — and the engine hands the remaining replay to the parallel
-//    strategy above (static streaming or windows, resumed from the
-//    current arrival cursor).  In the tail, concurrent id draws stay
-//    per-shard monotone, which is all the tie-break needs.
+//    — and the engine hands the remaining replay to static streaming,
+//    resumed from the current arrival cursor.  In the tail, concurrent
+//    id draws stay per-shard monotone, which is all the tie-break
+//    needs.
 //
-// In all strategies the serial tie-break (time, priority, insertion
+// DYNAMIC routing (threshold / economic) runs on one shard: exchange
+// bids read every cluster's expected_wait at each arrival instant, so
+// all shards would have to stop at every arrival.  Measured, those
+// barriers made the replay 5-8x slower than serial, so the constructor
+// clamps the shard count to 1 and the serial path replays it inline.
+//
+// In every strategy the serial tie-break (time, priority, insertion
 // id) is replayed exactly: per-cluster event streams keep their serial
 // relative order because submissions reach each cluster in the serial
 // arrival order, and cross-cluster same-instant ties commute because
 // no shared state is touched between synchronization points.
 //
-// Cluster -> shard placement is a deterministic LPT partition by
-// default (ShardPlacement::kLpt): clusters sorted by descending cost —
-// `processors x (1 + home-trace job count)` — each assigned to the
-// least-loaded shard (ties broken by cluster index, then lowest shard
-// index), so make_skewed_grid's geometric ladder no longer piles the
-// heavy clusters onto a few workers the way round-robin did.  Because
-// volatility streams are keyed by cluster_index (not shard), placement
-// can NEVER change the replay outcome — pinned by tests.
+// Cluster -> shard placement is a deterministic LPT partition: clusters
+// sorted by descending cost — `processors x (1 + home-trace job
+// count)` — each assigned to the least-loaded shard (ties broken by
+// cluster index, then lowest shard index), so make_skewed_grid's
+// geometric ladder does not pile the heavy clusters onto a few
+// workers.  Because volatility streams are keyed by cluster_index (not
+// shard), placement can NEVER change the replay outcome — pinned by
+// tests that vary the thread count, and with it the partition.
 #pragma once
 
 #include <atomic>
@@ -87,23 +83,12 @@
 
 namespace lgs {
 
-/// Cluster -> shard assignment strategy.  Outcome-neutral by
-/// construction (the determinism contract keys all per-cluster streams
-/// by cluster index): only load balance changes.
-enum class ShardPlacement {
-  kLpt,        ///< longest-processing-time partition over the cost model
-  kRoundRobin  ///< cluster i -> shard i % shard_count (the PR-8 layout)
-};
-
-const char* to_string(ShardPlacement p);
-/// Parse "lpt" / "round-robin"; throws std::invalid_argument otherwise.
-ShardPlacement shard_placement_from_string(const std::string& s);
-
 /// Parallel drop-in for GridSim: same construction, submission and
 /// run-once surface, same GridSimResult, bit-identical outcome.
 ///
 /// `threads` requests the worker count: 0 = hardware_concurrency,
-/// clamped to [1, cluster_count()].  Memory follows GridSim's
+/// clamped to [1, cluster_count()], and to 1 under threshold / economic
+/// routing.  Memory follows GridSim's
 /// replay-arena discipline, but per shard: the coordinator arena holds
 /// the store and routing tables, and each shard owns a private arena
 /// for its simulator and clusters so PR 6's allocation discipline holds
@@ -117,8 +102,7 @@ ShardPlacement shard_placement_from_string(const std::string& s);
 class ShardGridSim {
  public:
   ShardGridSim(const LightGrid& grid, const GridSimOptions& opts,
-               int threads = 0, Arena* arena = nullptr,
-               ShardPlacement placement = ShardPlacement::kLpt);
+               int threads = 0, Arena* arena = nullptr);
   ~ShardGridSim();
   ShardGridSim(const ShardGridSim&) = delete;
   ShardGridSim& operator=(const ShardGridSim&) = delete;
@@ -149,9 +133,7 @@ class ShardGridSim {
 
   /// Effective shard count after clamping.
   int shard_count() const;
-  /// The placement strategy in force.
-  ShardPlacement placement() const { return placement_; }
-  /// Which shard owns cluster `i` (decided by the placement strategy).
+  /// Which shard owns cluster `i` (the LPT partition).
   int shard_of(std::size_t i) const {
     ensure_materialized();
     return static_cast<int>(shard_of_[i]);
@@ -170,28 +152,21 @@ class ShardGridSim {
   /// Bind clusters to shards (placement + construction + central
   /// server).  Idempotent; called by run() and the cluster accessors.
   void ensure_materialized() const;
-  /// Cluster -> shard map under placement_ (LPT over the cost model,
-  /// or round-robin).
+  /// Cluster -> shard map: LPT over the cost model.
   std::vector<std::uint32_t> compute_placement() const;
-  std::size_t fallback_target(std::size_t target, int min_procs) const;
-  /// Routing target of one pending submission under static routing.
-  std::size_t static_target(std::size_t pending_index) const;
-  /// Serial-order routing + submission of one pending entry (dynamic
-  /// strategies; runs on the coordinator with all shards quiesced).
+  /// Serial-order routing + submission of one pending entry (one shard,
+  /// or the coupled prefix with every shard clock pinned).
   void route_one(std::size_t pending_index);
-  void build_route_order();
   /// Mirror the serial pump: allocate the id the serial engine's next
   /// arrival-pump event would carry (coupled strategy only).
   void arm_pump();
   void run_single(Time horizon);
   void run_coupled(Time horizon);
   void run_static(Time horizon);
-  void run_windows(Time horizon);
   void worker_static(std::size_t s, Time horizon);
 
   LightGrid grid_;
   GridSimOptions opts_;
-  ShardPlacement placement_;
   Arena owned_arena_;  ///< unused (empty) when an external arena is given
   Arena& arena_;       ///< coordinator arena (store + routing tables)
   std::vector<std::unique_ptr<Shard>> shards_;

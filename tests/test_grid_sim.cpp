@@ -177,8 +177,10 @@ TEST(GridSim, VolatilityStreamsIgnoreShardAssignment) {
   // generator whose consumption order would depend on which shard (or
   // thread count) owns the cluster.  Replaying the same volatility-heavy
   // grid serially and sharded at several worker counts must therefore
-  // produce IDENTICAL per-cluster VolatilityStats: round-robin
-  // assignment changes with the shard count, the streams must not.
+  // produce IDENTICAL per-cluster VolatilityStats: the LPT assignment
+  // changes with the shard count, the streams must not.  Isolated
+  // routing, so every requested worker count really runs that many
+  // shards (dynamic routing replays on one).
   const auto make_grid = [] {
     LightGrid g = make_skewed_grid(5, 8, 1.5);
     return g;
@@ -193,7 +195,7 @@ TEST(GridSim, VolatilityStreamsIgnoreShardAssignment) {
     return w;
   };
   GridSimOptions opts;
-  opts.routing = GridRouting::kEconomic;
+  opts.routing = GridRouting::kIsolated;
   opts.volatility.events = 8;
   opts.volatility.window = 15.0;
   opts.volatility.floor_fraction = 0.5;
@@ -206,6 +208,7 @@ TEST(GridSim, VolatilityStreamsIgnoreShardAssignment) {
   for (int threads : {1, 2, 3, 5}) {
     SCOPED_TRACE(threads);
     ShardGridSim sharded(make_grid(), opts, threads);
+    EXPECT_EQ(sharded.shard_count(), threads);
     sharded.submit_workloads(make_jobs());
     (void)sharded.run();
     ASSERT_EQ(sharded.cluster_count(), serial.cluster_count());

@@ -217,9 +217,9 @@ TEST(GridSweep, ReportJsonIsDeterministicAcrossThreadCounts) {
 
 // The inner grid_threads axis (sim/shard_sim.h): every cell replayed
 // through the sharded engine must reproduce the serial cells bit for
-// bit at every worker count.  Bags are dropped here so the cells take
-// the barrier-free streaming strategies; the coupled central-server
-// strategy is covered by the test below.
+// bit at every worker count.  Bags are dropped here so static cells take
+// the barrier-free streaming strategy (dynamic cells replay on one
+// shard); the coupled central-server strategy is covered below.
 TEST(GridSweep, InnerGridThreadsAxisIsBitIdentical) {
   GridSweepSpec spec = small_spec();
   spec.besteffort_runs = 0;

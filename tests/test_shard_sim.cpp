@@ -7,13 +7,16 @@
 //  * sharded-vs-serial digest equality holds on ANY standard library
 //    (no reference-Rng skip — both engines draw the same streams);
 //  * a 200-round randomized small-grid fuzz (random routing, policies,
-//    kill policies, volatility, bags, seeds, thread counts, placement)
-//    compares the drained engines field by field — every record, every
-//    stats block, bitwise on doubles;
+//    kill policies, volatility, bags, seeds, thread counts — and with
+//    them the LPT partition) compares the drained engines field by
+//    field — every record, every stats block, bitwise on doubles;
 //  * an explicit central-server matrix (kill policy × ≥2 shards) pins
 //    the coupled-lockstep strategy against serial digests, and the
 //    placement tests pin that the LPT partition is deterministic,
-//    balanced, and outcome-neutral.
+//    balanced, and outcome-neutral;
+//  * dynamic routing (threshold / economic) always replays on one
+//    shard, and a job wider than every cluster throws
+//    std::invalid_argument at every thread count.
 // Plus unit tests for the SPSC mailbox the static strategies stream
 // arrivals through (core/spsc_ring.h), including the push_n/pop_n bulk
 // operations the streaming path batches with.
@@ -224,10 +227,11 @@ TEST(ShardSim, CentralServerRunsOnMultipleShards) {
       << "bags must no longer force single-shard execution";
 }
 
-// Explicit central-server matrix: every kill policy × ≥2 shards must
-// reproduce the serial digest on both bag scenarios (isolated streams
-// into the static tail after campaign completion, threshold into the
-// windowed tail).
+// Explicit central-server matrix: every kill policy must reproduce the
+// serial digest on both bag scenarios.  The isolated one runs the
+// coupled-lockstep strategy on ≥2 shards and streams into the static
+// tail after campaign completion; the threshold one is clamped to the
+// serial one-shard path.
 TEST(ShardSim, CentralServerKillPolicyMatrixMatchesSerial) {
   static const OnlineCluster::KillPolicy kKills[] = {
       OnlineCluster::KillPolicy::kYoungestFirst,
@@ -250,7 +254,9 @@ TEST(ShardSim, CentralServerKillPolicyMatrixMatchesSerial) {
         ShardGridSim sharded(make_skewed_grid(4, 24, 2.0), opts, threads);
         sharded.submit_workloads(split_by_community(golden_workload(), 4));
         const GridSimResult res = sharded.run();
-        EXPECT_GE(sharded.shard_count(), 2);
+        if (sc.routing == GridRouting::kIsolated) {
+          EXPECT_GE(sharded.shard_count(), 2);
+        }
         EXPECT_EQ(digest_grid_result(sharded, res), want);
       }
     }
@@ -261,21 +267,12 @@ TEST(ShardSim, CentralServerKillPolicyMatrixMatchesSerial) {
 // Placement: LPT partition, deterministic and outcome-neutral
 // ---------------------------------------------------------------------------
 
-TEST(ShardPlacementTest, RoundRobinKeepsLegacyLayout) {
-  GridSimOptions opts;
-  ShardGridSim sim(make_skewed_grid(6, 24, 2.0), opts, /*threads=*/4,
-                   nullptr, ShardPlacement::kRoundRobin);
-  for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_EQ(sim.shard_of(i), static_cast<int>(i % 4));
-}
-
 TEST(ShardPlacementTest, LptTieBreaksByClusterThenShardIndex) {
   // skew 1.0: every cluster costs the same, so the LPT order is the
   // cluster index order and ties on shard load resolve to the lowest
   // shard index — the assignment alternates deterministically.
   GridSimOptions opts;
-  ShardGridSim sim(make_skewed_grid(5, 8, 1.0), opts, /*threads=*/2,
-                   nullptr, ShardPlacement::kLpt);
+  ShardGridSim sim(make_skewed_grid(5, 8, 1.0), opts, /*threads=*/2);
   EXPECT_EQ(sim.shard_of(0), 0);
   EXPECT_EQ(sim.shard_of(1), 1);
   EXPECT_EQ(sim.shard_of(2), 0);
@@ -287,22 +284,23 @@ TEST(ShardPlacementTest, LptBalancesSkewedLadderBetterThanRoundRobin) {
   const LightGrid grid = make_skewed_grid(8, 64, 4.0);
   GridSimOptions opts;
   const std::size_t kShards = 2;
-  const auto max_load = [&](ShardPlacement p) {
-    ShardGridSim sim(grid, opts, static_cast<int>(kShards), nullptr, p);
-    std::vector<double> load(kShards, 0.0);
-    for (std::size_t i = 0; i < grid.clusters.size(); ++i)
-      load[static_cast<std::size_t>(sim.shard_of(i))] +=
-          grid.clusters[i].processors();
-    return *std::max_element(load.begin(), load.end());
-  };
+  // With no submissions the cost model is the cluster width alone.
+  ShardGridSim sim(grid, opts, static_cast<int>(kShards));
+  std::vector<double> lpt_load(kShards, 0.0), rr_load(kShards, 0.0);
+  for (std::size_t i = 0; i < grid.clusters.size(); ++i) {
+    lpt_load[static_cast<std::size_t>(sim.shard_of(i))] +=
+        grid.clusters[i].processors();
+    rr_load[i % kShards] += grid.clusters[i].processors();
+  }
   double total = 0.0, largest = 0.0;
   for (const Cluster& c : grid.clusters) {
     total += c.processors();
     largest = std::max(largest, static_cast<double>(c.processors()));
   }
-  const double lpt = max_load(ShardPlacement::kLpt);
-  const double rr = max_load(ShardPlacement::kRoundRobin);
-  // The geometric ladder is exactly the shape round-robin mishandles.
+  const double lpt = *std::max_element(lpt_load.begin(), lpt_load.end());
+  const double rr = *std::max_element(rr_load.begin(), rr_load.end());
+  // The geometric ladder is exactly the shape a round-robin `i % shards`
+  // layout mishandles.
   EXPECT_LT(lpt, rr);
   // Graham's LPT bound: max load <= (4/3 - 1/3m) * OPT, with
   // OPT >= max(average, largest item).
@@ -310,25 +308,33 @@ TEST(ShardPlacementTest, LptBalancesSkewedLadderBetterThanRoundRobin) {
   EXPECT_LE(lpt, (4.0 / 3.0 - 1.0 / (3.0 * kShards)) * opt_lb + 1e-9);
 }
 
-std::uint64_t run_sharded_with_placement(const GoldenScenario& sc, int threads,
-                                         ShardPlacement placement) {
-  ShardGridSim sim(make_skewed_grid(4, 24, 2.0), golden_options(sc), threads,
-                   nullptr, placement);
-  sim.submit_workloads(split_by_community(golden_workload(), 4));
-  const GridSimResult res = sim.run();
-  return digest_grid_result(sim, res);
-}
-
 // The determinism contract keys every per-cluster stream by cluster
-// index, so WHERE a cluster runs can never change WHAT it computes:
-// both placements must produce the same digest on every scenario.
+// index, so WHERE a cluster runs can never change WHAT it computes.
+// Each thread count yields a different LPT partition of the four
+// clusters; every partition must produce the serial digest.
 TEST(ShardPlacementTest, PlacementChoiceNeverChangesReplayDigests) {
   for (const GoldenScenario& sc : golden_scenarios()) {
-    for (const int threads : {2, 3}) {
+    const std::uint64_t serial = run_golden_scenario(sc);
+    std::vector<std::vector<int>> partitions;
+    for (const int threads : {2, 3, 4}) {
       SCOPED_TRACE(sc.name + " @ " + std::to_string(threads) + " threads");
-      EXPECT_EQ(run_sharded_with_placement(sc, threads, ShardPlacement::kLpt),
-                run_sharded_with_placement(sc, threads,
-                                           ShardPlacement::kRoundRobin));
+      ShardGridSim sim(make_skewed_grid(4, 24, 2.0), golden_options(sc),
+                       threads);
+      sim.submit_workloads(split_by_community(golden_workload(), 4));
+      const GridSimResult res = sim.run();
+      EXPECT_EQ(digest_grid_result(sim, res), serial);
+      std::vector<int> owner;
+      for (std::size_t c = 0; c < sim.cluster_count(); ++c)
+        owner.push_back(sim.shard_of(c));
+      partitions.push_back(owner);
+    }
+    // Static routings really ran three distinct partitions (dynamic
+    // ones run on one shard, where every cluster sits on shard 0).
+    if (sc.routing == GridRouting::kIsolated ||
+        sc.routing == GridRouting::kGlobalPlan) {
+      EXPECT_NE(partitions[0], partitions[1]);
+      EXPECT_NE(partitions[1], partitions[2]);
+      EXPECT_NE(partitions[0], partitions[2]);
     }
   }
 }
@@ -337,6 +343,71 @@ TEST(ShardSim, ThreadCountClampsToClusterCount) {
   GridSimOptions opts;
   ShardGridSim sim(make_skewed_grid(3, 8, 1.0), opts, /*threads=*/16);
   EXPECT_EQ(sim.shard_count(), 3);
+}
+
+// Exchange bids read every cluster at every arrival, so threshold and
+// economic routing replay on the serial one-shard path at any requested
+// thread count — and still reproduce the pinned digests.
+TEST(ShardSim, DynamicRoutingRunsSerially) {
+  const std::vector<GoldenScenario> scenarios = golden_scenarios();
+  const std::vector<GoldenDigest> expected = golden_digests();
+  const bool pinned = rng_matches_reference_library();
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const GoldenScenario& sc = scenarios[i];
+    if (sc.routing != GridRouting::kThreshold &&
+        sc.routing != GridRouting::kEconomic)
+      continue;
+    const std::uint64_t want =
+        pinned ? expected[i].digest : run_golden_scenario(sc);
+    for (const int threads : golden_thread_counts()) {
+      if (threads < 2) continue;
+      SCOPED_TRACE(sc.name + " @ " + std::to_string(threads) + " threads");
+      ShardGridSim sim(make_skewed_grid(4, 24, 2.0), golden_options(sc),
+                       threads);
+      EXPECT_EQ(sim.shard_count(), 1);
+      sim.submit_workloads(split_by_community(golden_workload(), 4));
+      const GridSimResult res = sim.run();
+      EXPECT_EQ(digest_grid_result(sim, res), want);
+    }
+  }
+}
+
+// A job wider than every cluster makes the routing rule throw.  On ≥2
+// shards that throw leaves the coordinator while worker threads are
+// live; the engine must join them and surface the same
+// std::invalid_argument as the serial engine — never std::terminate.
+// Covered on the bag-free static stream and on the static tail the
+// coupled strategy hands off to once the campaign has completed.
+TEST(ShardSim, TooWideJobThrowsInvalidArgumentAtEveryThreadCount) {
+  const LightGrid grid = make_skewed_grid(4, 8, 1.0);  // 8 procs each
+  JobSet jobs;
+  for (int c = 0; c < 4; ++c) {
+    Rng rng(mix_seed(31, static_cast<std::uint64_t>(c)));
+    append_workload(jobs, make_community_workload(
+                              static_cast<Community>(c), 10, rng,
+                              static_cast<JobId>(c) * 100, 0.05, 5.0));
+  }
+  // Released long after the campaign below has completed.
+  Job wide = Job::rigid(9999, /*procs=*/64, /*duration=*/1.0,
+                        /*release=*/1000.0);
+  jobs.push_back(wide);
+
+  GridSimOptions bag_free;
+  GridSimOptions with_bag;
+  with_bag.bags = {{"tiny-bag", 4, 0.2, 1, 1.0}};
+  for (const GridSimOptions& opts : {bag_free, with_bag}) {
+    SCOPED_TRACE(opts.bags.empty() ? "static" : "coupled -> static");
+    GridSim serial(grid, opts);
+    serial.submit_workloads(split_by_community(jobs, 4));
+    EXPECT_THROW(serial.run(), std::invalid_argument);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ShardGridSim sharded(grid, opts, threads);
+      sharded.submit_workloads(split_by_community(jobs, 4));
+      EXPECT_EQ(sharded.shard_count(), threads);
+      EXPECT_THROW(sharded.run(), std::invalid_argument);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +474,6 @@ struct FuzzCase {
   JobSet workload;
   std::size_t clusters;
   int threads;
-  ShardPlacement placement;
 };
 
 FuzzCase make_fuzz_case(std::uint64_t round) {
@@ -445,11 +515,9 @@ FuzzCase make_fuzz_case(std::uint64_t round) {
                         /*time_scale=*/0.05,
                         /*arrival_window=*/rng.uniform(5.0, 20.0)));
   }
-  fc.threads = 2 + static_cast<int>(round % 3);  // 2..4 workers
-  // Placement is outcome-neutral; alternating it across rounds fuzzes
-  // that claim alongside everything else.
-  fc.placement =
-      round % 2 == 0 ? ShardPlacement::kLpt : ShardPlacement::kRoundRobin;
+  // 2..4 workers: each count partitions the clusters differently, so
+  // the fuzz also covers "placement is outcome-neutral".
+  fc.threads = 2 + static_cast<int>(round % 3);
   return fc;
 }
 
@@ -463,7 +531,7 @@ TEST(ShardSim, RandomizedSmallGridFuzzMatchesSerialFieldByField) {
     serial.submit_workloads(split_by_community(fc.workload, fc.clusters));
     const GridSimResult serial_res = serial.run();
 
-    ShardGridSim sharded(fc.grid, fc.opts, fc.threads, nullptr, fc.placement);
+    ShardGridSim sharded(fc.grid, fc.opts, fc.threads);
     sharded.submit_workloads(split_by_community(fc.workload, fc.clusters));
     const GridSimResult sharded_res = sharded.run();
 
