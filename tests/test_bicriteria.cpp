@@ -105,16 +105,15 @@ TEST_P(BicriteriaProperty, BothCriteriaBounded) {
             8.0 * sum_weighted_completion_lower_bound(jobs, m));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BicriteriaProperty,
-    ::testing::Values(BicritCase{1, 50, true, 2.0},
-                      BicritCase{2, 200, true, 2.0},
-                      BicritCase{3, 50, false, 2.0},
-                      BicritCase{4, 200, false, 2.0},
-                      BicritCase{5, 400, true, 2.0},
-                      BicritCase{6, 100, true, 1.5},
-                      BicritCase{7, 100, true, 3.0},
-                      BicritCase{8, 100, false, 1.5}));
+// gtest names each case after the raw bytes of its parameter. A static array
+// has zeroed padding, so those names stay the same from build to build.
+const BicritCase kBicritCases[] = {
+    {1, 50, true, 2.0},   {2, 200, true, 2.0},  {3, 50, false, 2.0},
+    {4, 200, false, 2.0}, {5, 400, true, 2.0},  {6, 100, true, 1.5},
+    {7, 100, true, 3.0},  {8, 100, false, 1.5}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BicriteriaProperty,
+                         ::testing::ValuesIn(kBicritCases));
 
 }  // namespace
 }  // namespace lgs

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/exec_model.h"
 
@@ -78,6 +79,10 @@ struct ModelCase {
   const char* name;
   ExecModel model;
 };
+
+// Without this gtest prints the raw bytes of the case, pointers included,
+// and the ctest names would change from run to run.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
 
 class MonotonyTest : public ::testing::TestWithParam<ModelCase> {};
 

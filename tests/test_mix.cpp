@@ -90,17 +90,19 @@ TEST_P(MixProperty, ValidAndBounded) {
   EXPECT_LE(s.makespan(), 6.0 * cmax_lower_bound(jobs, m));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MixProperty,
-    ::testing::Values(
-        MixCase{1, MixStrategy::kSeparatePhases, false},
-        MixCase{2, MixStrategy::kSeparatePhases, false},
-        MixCase{3, MixStrategy::kAprioriAllotment, false},
-        MixCase{4, MixStrategy::kAprioriAllotment, true},
-        MixCase{5, MixStrategy::kRigidIntoBatches, false},
-        MixCase{6, MixStrategy::kRigidIntoBatches, true},
-        MixCase{7, MixStrategy::kAprioriAllotment, true},
-        MixCase{8, MixStrategy::kRigidIntoBatches, true}));
+// gtest names each case after the raw bytes of its parameter. A static array
+// has zeroed padding, so those names stay the same from build to build.
+const MixCase kMixCases[] = {
+    {1, MixStrategy::kSeparatePhases, false},
+    {2, MixStrategy::kSeparatePhases, false},
+    {3, MixStrategy::kAprioriAllotment, false},
+    {4, MixStrategy::kAprioriAllotment, true},
+    {5, MixStrategy::kRigidIntoBatches, false},
+    {6, MixStrategy::kRigidIntoBatches, true},
+    {7, MixStrategy::kAprioriAllotment, true},
+    {8, MixStrategy::kRigidIntoBatches, true}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MixProperty, ::testing::ValuesIn(kMixCases));
 
 }  // namespace
 }  // namespace lgs

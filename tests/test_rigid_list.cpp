@@ -94,16 +94,16 @@ TEST_P(RigidListProperty, ValidAndBounded) {
   EXPECT_LE(s.makespan(), 4.0 * lb) << "suspiciously bad list schedule";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, RigidListProperty,
-    ::testing::Values(ListCase{1, ListOrder::kSubmission, false},
-                      ListCase{2, ListOrder::kSubmission, true},
-                      ListCase{3, ListOrder::kLongestFirst, false},
-                      ListCase{4, ListOrder::kShortestFirst, false},
-                      ListCase{5, ListOrder::kWidestFirst, false},
-                      ListCase{6, ListOrder::kWeightDensity, false},
-                      ListCase{7, ListOrder::kLongestFirst, true},
-                      ListCase{8, ListOrder::kWidestFirst, true}));
+// gtest names each case after the raw bytes of its parameter. A static array
+// has zeroed padding, so those names stay the same from build to build.
+const ListCase kListCases[] = {
+    {1, ListOrder::kSubmission, false},    {2, ListOrder::kSubmission, true},
+    {3, ListOrder::kLongestFirst, false},  {4, ListOrder::kShortestFirst, false},
+    {5, ListOrder::kWidestFirst, false},   {6, ListOrder::kWeightDensity, false},
+    {7, ListOrder::kLongestFirst, true},   {8, ListOrder::kWidestFirst, true}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, RigidListProperty,
+                         ::testing::ValuesIn(kListCases));
 
 }  // namespace
 }  // namespace lgs
