@@ -75,21 +75,14 @@ JobStore bench_trace(std::size_t jobs) {
 }
 
 /// Rows in the exact order the batch engine routes them: grouped by
-/// home cluster (community % n, store order within the group), then
-/// stably sorted by effective release.
+/// home cluster (community % n, store order within the group), then in
+/// the engine's own release order (sort_route_order).
 std::vector<HotJob> route_ordered_rows(const JobStore& store,
                                        std::size_t clusters) {
   ArenaVec<GridPending> pending;
   group_pending_by_home(store, clusters, pending);
-  std::vector<std::uint32_t> order(pending.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return effective_grid_release(
-                                store[pending[a].index].release) <
-                            effective_grid_release(
-                                store[pending[b].index].release);
-                   });
+  ArenaVec<std::uint32_t> order;
+  sort_route_order(store, pending, order);
   std::vector<HotJob> rows;
   rows.reserve(order.size());
   for (const std::uint32_t i : order)

@@ -36,8 +36,8 @@ std::uint64_t get_u64(const unsigned char* p) {
 
 }  // namespace
 
-CheckpointWriter::CheckpointWriter() {
-  raw(kCheckpointMagic, sizeof kCheckpointMagic);
+CheckpointWriter::CheckpointWriter()
+    : buf_(kCheckpointMagic, kCheckpointMagic + sizeof kCheckpointMagic) {
   u32(kCheckpointVersion);
 }
 
@@ -107,6 +107,14 @@ double CheckpointReader::f64() {
   double v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
+}
+
+std::uint64_t CheckpointReader::count(std::size_t min_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_bytes)
+    throw CheckpointError("element count " + std::to_string(n) +
+                          " exceeds the snapshot");
+  return n;
 }
 
 void CheckpointReader::bytes(void* out, std::size_t n) {

@@ -43,7 +43,7 @@ class CheckpointError : public std::runtime_error {
 inline constexpr char kCheckpointMagic[8] = {'L', 'G', 'S', 'S',
                                              'N', 'A', 'P', '\n'};
 /// Bumped on ANY layout change of the serialized engine state.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 class CheckpointWriter {
  public:
@@ -95,6 +95,12 @@ class CheckpointReader {
   /// Read a length-prefixed byte run of any size.
   std::vector<unsigned char> blob();
   std::string str();
+
+  /// Read an element count and reject it when `min_bytes` per element
+  /// would already overrun the payload left — the guard every restore
+  /// site applies before sizing a container from a blob, so a hostile
+  /// count throws CheckpointError instead of allocating.
+  std::uint64_t count(std::size_t min_bytes);
 
   /// Every payload byte consumed?  Engines assert this after the last
   /// field so trailing garbage cannot hide.

@@ -118,10 +118,10 @@ void save_table_pool(CheckpointWriter& w, const TablePool& pool) {
 }
 
 void load_table_pool(CheckpointReader& r, TablePool& pool) {
-  std::vector<Time> times(r.u64());
+  std::vector<Time> times(r.count(8));
   for (Time& t : times) t = r.f64();
   pool.restore_times(std::move(times));
-  const std::uint64_t descs = r.u64();
+  const std::uint64_t descs = r.count(8);
   for (std::uint64_t i = 0; i < descs; ++i) {
     const std::uint32_t off = r.u32();
     const std::uint32_t len = r.u32();
@@ -139,7 +139,7 @@ void load_job_store(CheckpointReader& r, JobStore& store) {
   if (!store.empty())
     throw CheckpointError("job store restore requires an empty store");
   load_table_pool(r, store.mutable_tables());
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(kHotJobCheckpointBytes);
   store.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) store.append_raw(load_hot_job(r));
 }

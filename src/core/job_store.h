@@ -146,6 +146,10 @@ JobStore to_job_store(const JobSet& jobs, ArenaRef arena = {});
 class CheckpointReader;
 class CheckpointWriter;
 
+/// Encoded size of one save_hot_job row (five f64, five 32-bit fields,
+/// two u8) — the unit of the restore count guards.
+inline constexpr std::size_t kHotJobCheckpointBytes = 5 * 8 + 5 * 4 + 2;
+
 void save_hot_job(CheckpointWriter& w, const HotJob& h);
 HotJob load_hot_job(CheckpointReader& r);
 

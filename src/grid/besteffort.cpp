@@ -44,7 +44,7 @@ void CentralServer::save_checkpoint(CheckpointWriter& w) const {
 
 void CentralServer::restore_checkpoint(CheckpointReader& r) {
   pending_.clear();
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8);
   for (std::uint64_t i = 0; i < n; ++i) pending_.push_back(r.f64());
   total_runs_ = static_cast<long>(r.i64());
   completed_ = static_cast<long>(r.i64());

@@ -85,10 +85,7 @@ GridSim::GridSim(const LightGrid& grid, const GridSimOptions& opts,
       opts_(opts),
       arena_(arena != nullptr ? *arena : owned_arena_),
       sim_(ArenaRef(arena_)),
-      store_(ArenaRef(arena_)),
-      pending_(ArenaAllocator<Pending>(ArenaRef(arena_))),
-      plan_(ArenaAllocator<std::uint32_t>(ArenaRef(arena_))),
-      route_order_(ArenaAllocator<std::uint32_t>(ArenaRef(arena_))) {
+      arrivals_(grid_.clusters.size(), ArenaRef(arena_)) {
   if (grid_.clusters.empty())
     throw std::invalid_argument("grid without clusters");
   for (const Cluster& c : grid_.clusters)
@@ -98,32 +95,6 @@ GridSim::GridSim(const LightGrid& grid, const GridSimOptions& opts,
     server_ = std::make_unique<CentralServer>(opts_.bags);
     for (auto& c : clusters_)
       c->set_besteffort_source(server_->make_source());
-  }
-}
-
-void GridSim::submit(std::size_t home, const Job& j) {
-  if (ran_) throw std::logic_error("submit after run()");
-  if (borrowed_ != nullptr)
-    throw std::logic_error("cannot mix submit() with submit_store()");
-  if (home >= clusters_.size())
-    throw std::invalid_argument("home cluster out of range");
-  store_.append(j);
-  pending_.push_back(Pending{static_cast<std::uint32_t>(home),
-                             static_cast<std::uint32_t>(store_.size() - 1)});
-}
-
-void GridSim::submit_workloads(const std::vector<JobSet>& per_cluster) {
-  if (per_cluster.size() > clusters_.size())
-    throw std::invalid_argument("more workloads than clusters");
-  std::size_t total = 0;
-  for (const JobSet& jobs : per_cluster) total += jobs.size();
-  pending_.reserve(pending_.size() + total);
-  store_.reserve(store_.size() + total);
-  for (std::size_t i = 0; i < per_cluster.size(); ++i) {
-    // Routing may migrate jobs elsewhere, but the home counts are the
-    // right order of magnitude to pre-size each cluster's bookkeeping.
-    clusters_[i]->reserve_submissions(per_cluster[i].size());
-    for (const Job& j : per_cluster[i]) submit(i, j);
   }
 }
 
@@ -144,17 +115,6 @@ std::vector<std::size_t> group_pending_by_home(const JobStore& store,
                                           static_cast<std::uint32_t>(i)};
   }
   return counts;
-}
-
-void GridSim::submit_store(const JobStore& store) {
-  if (ran_) throw std::logic_error("submit after run()");
-  if (borrowed_ != nullptr || !store_.empty())
-    throw std::logic_error("cannot mix submit_store() with prior submissions");
-  borrowed_ = &store;
-  const std::vector<std::size_t> counts =
-      group_pending_by_home(store, clusters_.size(), pending_);
-  for (std::size_t c = 0; c < clusters_.size(); ++c)
-    clusters_[c]->reserve_submissions(counts[c]);
 }
 
 void schedule_cluster_volatility(Simulator& sim, OnlineCluster& cl,
@@ -213,22 +173,17 @@ void GridSim::schedule_volatility() {
 }
 
 void GridSim::schedule_next_arrival() {
-  if (route_cursor_ >= route_order_.size()) return;
-  const Time t = effective_grid_release(
-      jobs()[pending_[route_order_[route_cursor_]].index].release);
-  pump_time_ = t;
-  pump_event_ = sim_.at(t, [this] { pump_arrivals(); }, kGridArrivalPriority);
+  if (!arrivals_.pending()) return;
+  // Clamped to now: a streamed row released in the past routes at once.
+  pump_time_ = std::max(sim_.now(), arrivals_.next_release());
+  pump_event_ =
+      sim_.at(pump_time_, [this] { pump_arrivals(); }, kGridArrivalPriority);
 }
 
 void GridSim::pump_arrivals() {
   LGS_PROF_ZONE("grid.arrival_pump");
   LGS_PROF_COUNT("grid.arrival_batches", 1);
-  const Time now = sim_.now();
-  while (route_cursor_ < route_order_.size() &&
-         effective_grid_release(
-             jobs()[pending_[route_order_[route_cursor_]].index].release) <=
-             now)
-    route(route_order_[route_cursor_++]);
+  arrivals_.route_due(sim_.now(), clusters_, opts_);
   schedule_next_arrival();
 }
 
@@ -246,6 +201,40 @@ void sort_route_order(const JobStore& jobs,
                    });
 }
 
+namespace {
+
+/// kGlobalPlan prelude: place every registered submission with the
+/// heterogeneous ECT list scheduler of grid/global and write the target
+/// cluster index of pending[i] to targets[i].
+void plan_global_targets(const LightGrid& grid, const JobStore& jobs,
+                         const GridPending* pending, std::size_t n,
+                         std::uint32_t* targets) {
+  // The planner consumes the fat offline interface — materialize Jobs
+  // for it (global-plan only; the decentralized routings stay hot).
+  JobSet combined;
+  combined.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Job j = jobs.job(pending[i].index);
+    j.id = static_cast<JobId>(i);  // plan ids = pending indices
+    combined.push_back(std::move(j));
+  }
+  const GlobalSchedule plan = global_ect_schedule(grid, combined);
+  const auto cluster_index = [&grid](ClusterId id) {
+    for (std::size_t c = 0; c < grid.clusters.size(); ++c)
+      if (grid.clusters[c].id == id) return c;
+    throw std::logic_error("global plan placed a job on an unknown cluster");
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const GlobalAssignment* a = plan.find(static_cast<JobId>(i));
+    targets[i] = static_cast<std::uint32_t>(
+        a != nullptr ? cluster_index(a->cluster) : pending[i].home);
+  }
+}
+
+/// The routing rule of both engines, applied to pending[i] at its
+/// arrival instant (see GridArrivals::route_next; `plan` is only read
+/// under global-plan routing).  Counts the route in the profiler and a
+/// migration in `*migrations` when the target is not the home cluster.
 std::size_t grid_route_target(
     const std::vector<std::unique_ptr<OnlineCluster>>& clusters,
     const GridSimOptions& opts, const JobStore& jobs,
@@ -293,32 +282,178 @@ std::size_t grid_route_target(
   return target;
 }
 
-void GridSim::route(std::size_t pending_index) {
-  const JobStore& js = jobs();
-  const std::size_t target =
-      grid_route_target(clusters_, opts_, js, pending_.data(), plan_.data(),
-                        pending_index, &migrations_);
+}  // namespace
+
+GridArrivals::GridArrivals(std::size_t clusters, ArenaRef arena)
+    : clusters_(clusters),
+      store_(arena),
+      pending_(ArenaAllocator<GridPending>(arena)),
+      plan_(ArenaAllocator<std::uint32_t>(arena)),
+      order_(ArenaAllocator<std::uint32_t>(arena)),
+      home_counts_(clusters, 0) {}
+
+void GridArrivals::submit(std::size_t home, const Job& j) {
+  if (prepared_) throw std::logic_error("submit after run()");
+  if (borrowed_ != nullptr)
+    throw std::logic_error("cannot mix submit() with submit_store()");
+  if (home >= clusters_)
+    throw std::invalid_argument("home cluster out of range");
+  store_.append(j);
+  pending_.push_back(
+      GridPending{static_cast<std::uint32_t>(home),
+                  static_cast<std::uint32_t>(store_.size() - 1)});
+  ++home_counts_[home];
+}
+
+void GridArrivals::submit_workloads(const std::vector<JobSet>& per_cluster) {
+  if (per_cluster.size() > clusters_)
+    throw std::invalid_argument("more workloads than clusters");
+  std::size_t total = 0;
+  for (const JobSet& jobs : per_cluster) total += jobs.size();
+  pending_.reserve(pending_.size() + total);
+  store_.reserve(store_.size() + total);
+  for (std::size_t i = 0; i < per_cluster.size(); ++i)
+    for (const Job& j : per_cluster[i]) submit(i, j);
+}
+
+void GridArrivals::submit_store(const JobStore& store) {
+  if (prepared_) throw std::logic_error("submit after run()");
+  if (!empty())
+    throw std::logic_error("cannot mix submit_store() with prior submissions");
+  borrowed_ = &store;
+  home_counts_ = group_pending_by_home(store, clusters_, pending_);
+}
+
+Time GridArrivals::ingest(const HotJob& h, const TablePool& tables,
+                          std::size_t home, Time now) {
+  if (home >= clusters_)
+    throw std::invalid_argument("home cluster out of range");
+  HotJob local = h;
+  if (local.exec_kind == ExecKind::kTable)
+    local.exec_c = store_.mutable_tables().intern(tables.data(h.exec_c),
+                                                  tables.len(h.exec_c));
+  store_.append_raw(local);
+  const auto index = static_cast<std::uint32_t>(pending_.size());
+  pending_.push_back(
+      GridPending{static_cast<std::uint32_t>(home),
+                  static_cast<std::uint32_t>(store_.size() - 1)});
+  ++home_counts_[home];
+  // Every unrouted row is due at max(now, release) — nothing due
+  // earlier is left unrouted at a quiescent point — so the tail stays
+  // sorted under that key and the new row goes behind its equals.
+  const auto due = [this, now](std::uint32_t i) {
+    return std::max(now,
+                    effective_grid_release(store_[pending_[i].index].release));
+  };
+  const Time t = std::max(now, effective_grid_release(local.release));
+  auto pos = order_.end();
+  if (pending() && t < due(order_.back()))
+    pos = std::upper_bound(
+        order_.begin() + static_cast<std::ptrdiff_t>(cursor_), order_.end(),
+        t, [&due](Time v, std::uint32_t i) { return v < due(i); });
+  order_.insert(pos, index);
+  return t;
+}
+
+void GridArrivals::prepare(const LightGrid& grid, GridRouting routing,
+                           const Clusters& clusters) {
+  if (prepared_) throw std::logic_error("arrivals prepared twice");
+  prepared_ = true;
+  // Omniscient baseline: place every submission with the heterogeneous
+  // ECT list scheduler of grid/global, then follow that plan online.
+  if (routing == GridRouting::kGlobalPlan) {
+    plan_.resize(pending_.size());
+    plan_global_targets(grid, jobs(), pending_.data(), pending_.size(),
+                        plan_.data());
+  }
+  sort_route_order(jobs(), pending_, order_);
+  // Routing may migrate jobs elsewhere, but the home counts are the
+  // right order of magnitude to pre-size each cluster's bookkeeping.
+  for (std::size_t c = 0; c < clusters.size(); ++c)
+    clusters[c]->reserve_submissions(home_counts_[c]);
+}
+
+std::size_t GridArrivals::route_next(const Clusters& clusters,
+                                     const GridSimOptions& opts,
+                                     std::uint32_t* row) {
+  const std::uint32_t i = order_[cursor_++];
+  *row = pending_[i].index;
+  return grid_route_target(clusters, opts, jobs(), pending_.data(),
+                           plan_.data(), i, &migrations_);
+}
+
+void GridArrivals::route_due(Time now, const Clusters& clusters,
+                             const GridSimOptions& opts) {
+  while (pending() && next_release() <= now) {
+    std::uint32_t row = 0;
+    const std::size_t target = route_next(clusters, opts, &row);
+    deliver(row, *clusters[target]);
+  }
+}
+
+void GridArrivals::deliver(std::uint32_t row, OnlineCluster& cluster) const {
   // Hot 64-byte hand-off, release overridden to "now" (routing runs at
   // the release instant) — no fat Job on the replay path.
-  HotJob h = js[pending_[pending_index].index];
+  HotJob h = jobs()[row];
   h.release = 0.0;
-  clusters_[target]->submit_local(h, js.tables());
+  cluster.submit_local(h, jobs().tables());
+}
+
+void GridArrivals::save(CheckpointWriter& w) const {
+  save_job_store(w, jobs());
+  w.u64(pending_.size());
+  for (const GridPending& p : pending_) {
+    w.u32(p.home);
+    w.u32(p.index);
+  }
+  w.u64(plan_.size());
+  for (const std::uint32_t t : plan_) w.u32(t);
+  // Only the unrouted tail: the routed prefix is never read again.
+  w.u64(order_.size() - cursor_);
+  for (std::size_t i = cursor_; i < order_.size(); ++i) w.u32(order_[i]);
+  w.i64(migrations_);
+}
+
+void GridArrivals::load(CheckpointReader& r, GridRouting routing) {
+  if (prepared_ || !empty())
+    throw std::logic_error("arrival restore needs an empty front-end");
+  prepared_ = true;
+  load_job_store(r, store_);
+  const std::uint64_t n_pending = r.count(8);
+  pending_.reserve(n_pending);
+  for (std::uint64_t i = 0; i < n_pending; ++i) {
+    const std::uint32_t home = r.u32();
+    const std::uint32_t index = r.u32();
+    if (home >= clusters_ || index >= store_.size())
+      throw CheckpointError("pending table entry out of range");
+    pending_.push_back(GridPending{home, index});
+    ++home_counts_[home];
+  }
+  const std::uint64_t n_plan = r.count(4);
+  if (n_plan != (routing == GridRouting::kGlobalPlan ? n_pending : 0))
+    throw CheckpointError("global plan does not match the pending table");
+  plan_.reserve(n_plan);
+  for (std::uint64_t i = 0; i < n_plan; ++i) {
+    plan_.push_back(r.u32());
+    if (plan_.back() >= clusters_)
+      throw CheckpointError("global plan targets an unknown cluster");
+  }
+  const std::uint64_t n_tail = r.count(4);
+  order_.reserve(n_tail);
+  for (std::uint64_t i = 0; i < n_tail; ++i) {
+    order_.push_back(r.u32());
+    if (order_.back() >= n_pending)
+      throw CheckpointError("release order references unknown pending entry");
+  }
+  cursor_ = 0;
+  migrations_ = static_cast<long>(r.i64());
 }
 
 void GridSim::prepare_run() {
   if (ran_) throw std::logic_error("run() called twice");
   if (streaming_) throw std::logic_error("run() on a streaming engine");
   ran_ = true;
-
-  // Omniscient baseline: place every submission with the heterogeneous
-  // ECT list scheduler of grid/global, then follow that plan online.
-  if (opts_.routing == GridRouting::kGlobalPlan) {
-    plan_.resize(pending_.size());
-    plan_global_targets(grid_, jobs(), pending_.data(), pending_.size(),
-                        plan_.data());
-  }
-
-  sort_route_order(jobs(), pending_, route_order_);
+  arrivals_.prepare(grid_, opts_.routing, clusters_);
   schedule_next_arrival();
   schedule_volatility();
 }
@@ -327,8 +462,8 @@ GridSimResult GridSim::run(Time horizon) {
   LGS_PROF_ZONE("grid.run");
   prepare_run();
   sim_.run(horizon);
-  return aggregate_grid_result(clusters_, sim_.now(), migrations_,
-                               server_.get());
+  return aggregate_grid_result(clusters_, sim_.now(),
+                               arrivals_.migrations(), server_.get());
 }
 
 void GridSim::run_to(Time t) {
@@ -345,8 +480,8 @@ GridSimResult GridSim::resume(Time horizon) {
   if (!ran_ || streaming_)
     throw std::logic_error("resume() needs a run_to()/restored batch replay");
   sim_.run(horizon);
-  return aggregate_grid_result(clusters_, sim_.now(), migrations_,
-                               server_.get());
+  return aggregate_grid_result(clusters_, sim_.now(),
+                               arrivals_.migrations(), server_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -356,49 +491,37 @@ GridSimResult GridSim::resume(Time horizon) {
 void GridSim::begin_streaming() {
   if (ran_) throw std::logic_error("begin_streaming() after run()");
   if (streaming_) throw std::logic_error("begin_streaming() called twice");
-  if (borrowed_ != nullptr || !store_.empty())
+  if (!arrivals_.empty())
     throw std::logic_error("begin_streaming() after batch submissions");
   if (opts_.routing == GridRouting::kGlobalPlan)
     throw std::invalid_argument(
         "global-plan routing needs the whole trace up front and cannot "
         "stream");
   streaming_ = true;
+  arrivals_.prepare(grid_, opts_.routing, clusters_);
   schedule_volatility();
 }
 
 void GridSim::ingest(const HotJob& h, const TablePool& tables,
                      std::size_t home) {
   if (!streaming_) throw std::logic_error("ingest() before begin_streaming()");
-  if (home >= clusters_.size())
-    throw std::invalid_argument("home cluster out of range");
   LGS_PROF_COUNT("grid.stream_ingests", 1);
-  // Copy the row into the engine-owned store (table refs re-interned, so
-  // the producer's batch buffer can be recycled immediately).
-  HotJob local = h;
-  if (local.exec_kind == ExecKind::kTable)
-    local.exec_c = store_.mutable_tables().intern(tables.data(h.exec_c),
-                                                  tables.len(h.exec_c));
-  store_.append_raw(local);
-  const std::uint64_t pending_index = pending_.size();
-  pending_.push_back(Pending{static_cast<std::uint32_t>(home),
-                             static_cast<std::uint32_t>(store_.size() - 1)});
-  // Per-job route event at the arrival instant.  Same (time, priority)
-  // key as the batch pump, and ties among routes break by insertion id =
-  // ingestion order — so a release-ordered stream replays the batch
-  // run's exact routing sequence.
-  const Time t = std::max(sim_.now(),
-                          effective_grid_release(local.release));
-  const std::size_t idx = static_cast<std::size_t>(pending_index);
-  const EventId id =
-      sim_.at(t, [this, idx] { route(idx); }, kGridArrivalPriority);
-  route_events_.push_back(RouteEvent{t, id, pending_index});
+  // The batch pump serves the stream too: it is in flight exactly while
+  // rows wait unrouted, and a row due before its instant re-arms it.
+  const bool armed = arrivals_.pending();
+  const Time t = arrivals_.ingest(h, tables, home, sim_.now());
+  if (armed) {
+    if (t >= pump_time_) return;
+    sim_.cancel(pump_event_);
+  }
+  schedule_next_arrival();
 }
 
 void GridSim::advance_to(Time t) {
   if (!streaming_)
     throw std::logic_error("advance_to() before begin_streaming()");
   // Stop at (t, arrival-priority): completions and churn strictly before
-  // `t` execute, but route events AT `t` stay pending — jobs with
+  // `t` execute, but a pump firing AT `t` stays pending — jobs with
   // release == t ingested after this call still route ahead of
   // same-instant completions, exactly like the batch pump's position in
   // the tie-break order.
@@ -410,8 +533,8 @@ GridSimResult GridSim::finish_streaming(Time horizon) {
     throw std::logic_error("finish_streaming() before begin_streaming()");
   LGS_PROF_ZONE("grid.run");
   sim_.run(horizon);
-  return aggregate_grid_result(clusters_, sim_.now(), migrations_,
-                               server_.get());
+  return aggregate_grid_result(clusters_, sim_.now(),
+                               arrivals_.migrations(), server_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -467,10 +590,10 @@ std::vector<unsigned char> GridSim::checkpoint() const {
   for (const auto& c : clusters_) c->append_expected_event_ids(pending, expected);
   const bool pump_pending =
       pump_event_ != 0 && pending.count(pump_event_) != 0;
+  if (pump_pending != arrivals_.pending())
+    throw CheckpointError("arrival pump out of step with the unrouted tail");
   if (pump_pending) expected.push_back(pump_event_);
   for (const GridCapacityEvent& e : capacity_events_)
-    if (pending.count(e.id) != 0) expected.push_back(e.id);
-  for (const RouteEvent& e : route_events_)
     if (pending.count(e.id) != 0) expected.push_back(e.id);
   std::sort(expected.begin(), expected.end());
   if (std::adjacent_find(expected.begin(), expected.end()) != expected.end())
@@ -495,21 +618,7 @@ std::vector<unsigned char> GridSim::checkpoint() const {
 
   // The active trace (borrowed or owned) is serialized wholesale either
   // way; restore always lands it in the engine-owned store.
-  save_job_store(w, jobs());
-
-  w.u64(pending_.size());
-  for (const Pending& p : pending_) {
-    w.u32(p.home);
-    w.u32(p.index);
-  }
-  w.u64(plan_.size());
-  for (const std::uint32_t t : plan_) w.u32(t);
-  w.u64(route_order_.size());
-  for (const std::uint32_t i : route_order_) w.u32(i);
-  w.u64(route_cursor_);
-  w.i64(migrations_);
-
-  w.u8(pump_pending ? 1 : 0);
+  arrivals_.save(w);
   w.u64(pump_event_);
   w.f64(pump_time_);
 
@@ -525,17 +634,6 @@ std::vector<unsigned char> GridSim::checkpoint() const {
       w.i32(e.cap);
     }
 
-  std::uint64_t live_routes = 0;
-  for (const RouteEvent& e : route_events_)
-    if (pending.count(e.id) != 0) ++live_routes;
-  w.u64(live_routes);
-  for (const RouteEvent& e : route_events_)
-    if (pending.count(e.id) != 0) {
-      w.f64(e.t);
-      w.u64(e.id);
-      w.u64(e.pending_index);
-    }
-
   w.u8(server_ != nullptr ? 1 : 0);
   if (server_ != nullptr) server_->save_checkpoint(w);
 
@@ -545,7 +643,7 @@ std::vector<unsigned char> GridSim::checkpoint() const {
 
 void GridSim::restore(const std::vector<unsigned char>& blob) {
   LGS_PROF_ZONE("grid.restore");
-  if (ran_ || streaming_ || borrowed_ != nullptr || !store_.empty())
+  if (ran_ || streaming_ || !arrivals_.empty())
     throw std::logic_error("restore() needs a freshly constructed engine");
 
   CheckpointReader r(blob);
@@ -565,39 +663,15 @@ void GridSim::restore(const std::vector<unsigned char>& blob) {
   // its original id.
   sim_.reset_for_restore(now, next_id, executed);
 
-  load_job_store(r, store_);
-  borrowed_ = nullptr;
-
-  pending_.clear();
-  const std::uint64_t n_pending = r.u64();
-  pending_.reserve(n_pending);
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    const std::uint32_t home = r.u32();
-    const std::uint32_t index = r.u32();
-    if (home >= clusters_.size() || index >= store_.size())
-      throw CheckpointError("pending table entry out of range");
-    pending_.push_back(Pending{home, index});
-  }
-  plan_.clear();
-  const std::uint64_t n_plan = r.u64();
-  plan_.reserve(n_plan);
-  for (std::uint64_t i = 0; i < n_plan; ++i) plan_.push_back(r.u32());
-  route_order_.clear();
-  const std::uint64_t n_order = r.u64();
-  route_order_.reserve(n_order);
-  for (std::uint64_t i = 0; i < n_order; ++i) route_order_.push_back(r.u32());
-  route_cursor_ = static_cast<std::size_t>(r.u64());
-  migrations_ = static_cast<long>(r.i64());
-
-  const bool pump_pending = r.u8() != 0;
+  arrivals_.load(r, opts_.routing);
   pump_event_ = r.u64();
   pump_time_ = r.f64();
-  if (pump_pending)
+  if (arrivals_.pending())
     sim_.restore_event(pump_time_, kGridArrivalPriority, pump_event_,
                        [this] { pump_arrivals(); });
 
   capacity_events_.clear();
-  const std::uint64_t n_vol = r.u64();
+  const std::uint64_t n_vol = r.count(24);
   capacity_events_.reserve(n_vol);
   for (std::uint64_t i = 0; i < n_vol; ++i) {
     GridCapacityEvent e;
@@ -614,22 +688,6 @@ void GridSim::restore(const std::vector<unsigned char>& blob) {
                        [target, cap] { target->set_capacity(cap); });
   }
 
-  route_events_.clear();
-  const std::uint64_t n_routes = r.u64();
-  route_events_.reserve(n_routes);
-  for (std::uint64_t i = 0; i < n_routes; ++i) {
-    RouteEvent e;
-    e.t = r.f64();
-    e.id = r.u64();
-    e.pending_index = r.u64();
-    if (e.pending_index >= pending_.size())
-      throw CheckpointError("route event references unknown pending entry");
-    route_events_.push_back(e);
-    const std::size_t idx = static_cast<std::size_t>(e.pending_index);
-    sim_.restore_event(e.t, kGridArrivalPriority, e.id,
-                       [this, idx] { route(idx); });
-  }
-
   const bool has_server = r.u8() != 0;
   if (has_server != (server_ != nullptr))
     throw CheckpointError("snapshot/engine disagree on the central server");
@@ -638,31 +696,6 @@ void GridSim::restore(const std::vector<unsigned char>& blob) {
   for (auto& c : clusters_) c->restore_checkpoint(r);
   if (!r.exhausted())
     throw CheckpointError("trailing bytes after the last engine section");
-}
-
-void plan_global_targets(const LightGrid& grid, const JobStore& jobs,
-                         const GridPending* pending, std::size_t n,
-                         std::uint32_t* targets) {
-  // The planner consumes the fat offline interface — materialize Jobs
-  // for it (global-plan only; the decentralized routings stay hot).
-  JobSet combined;
-  combined.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Job j = jobs.job(pending[i].index);
-    j.id = static_cast<JobId>(i);  // plan ids = pending indices
-    combined.push_back(std::move(j));
-  }
-  const GlobalSchedule plan = global_ect_schedule(grid, combined);
-  const auto cluster_index = [&grid](ClusterId id) {
-    for (std::size_t c = 0; c < grid.clusters.size(); ++c)
-      if (grid.clusters[c].id == id) return c;
-    throw std::logic_error("global plan placed a job on an unknown cluster");
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const GlobalAssignment* a = plan.find(static_cast<JobId>(i));
-    targets[i] = static_cast<std::uint32_t>(
-        a != nullptr ? cluster_index(a->cluster) : pending[i].home);
-  }
 }
 
 GridSimResult aggregate_grid_result(

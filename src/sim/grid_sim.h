@@ -106,26 +106,23 @@ struct GridSimResult {
   long grid_resubmissions = 0;
 };
 
-/// One registered submission of a grid engine: 8 bytes, indexing the
-/// active job store.  Shared by the serial (GridSim) and sharded
-/// (sim/shard_sim.h) engines so their routing preludes stay one code
-/// path.
+/// One registered submission of the arrival front-end (GridArrivals):
+/// 8 bytes, indexing the active job store.
 struct GridPending {
   std::uint32_t home;
   std::uint32_t index;  ///< row in the active JobStore
 };
 
-/// Same-instant priority of the grid arrival pump.  The per-job route
-/// events the pump replaced were all scheduled before run() fired
-/// anything, so their insertion ids won every same-time tie against the
-/// priority-0 events created during the run (completions, volatility)
-/// and their priority won against the +1 best-effort bootstrap.
-/// Priority -2 reproduces exactly that: ahead of all of those at the
-/// same instant.  (OnlineCluster's -1 release timers never arise inside
-/// the grid engines — routing zeroes j.release — but note -2 would fire
-/// before them, where an old priority-0 route event fired after; if
-/// grid jobs ever keep deferred releases, revisit this ordering and the
-/// golden digests together.)
+/// Same-instant priority of the grid arrival pump, the one event that
+/// routes arrivals in both the batch and the streamed replay (the
+/// sharded engine merges the same key virtually).  -2 fires the pump
+/// ahead of every other event at its instant: the priority-0
+/// completions and volatility churn and the +1 best-effort bootstrap —
+/// the order the golden digests were captured under.  (OnlineCluster's
+/// -1 release timers never arise inside the grid engines — routing
+/// zeroes j.release — but -2 would fire before them too; if grid jobs
+/// ever keep deferred releases, revisit this ordering and the golden
+/// digests together.)
 constexpr int kGridArrivalPriority = -2;
 
 /// Arrival instant of a registered job: negative releases clamp to the
@@ -134,11 +131,11 @@ inline Time effective_grid_release(Time release) {
   return release > 0.0 ? release : 0.0;
 }
 
-/// submit_store prelude shared by both engines: group `store`'s rows by
-/// home cluster (community % n), preserving store order inside each
-/// group — the exact order submit_workloads(split_by_community(...))
-/// produces, so the release-date stable sort breaks ties identically.
-/// Returns the per-home counts (for reserve_submissions).
+/// The submit_store prelude: group `store`'s rows by home cluster
+/// (community % n), preserving store order inside each group — the
+/// exact order submit_workloads(split_by_community(...)) produces, so
+/// the release-date stable sort breaks ties identically.  Returns the
+/// per-home counts.
 std::vector<std::size_t> group_pending_by_home(const JobStore& store,
                                                std::size_t n,
                                                ArenaVec<GridPending>& pending);
@@ -166,34 +163,105 @@ void schedule_cluster_volatility(Simulator& sim, OnlineCluster& cl,
                                  std::size_t cluster_index,
                                  std::vector<GridCapacityEvent>* out = nullptr);
 
-/// kGlobalPlan prelude shared by both engines: place every registered
-/// submission with the heterogeneous ECT list scheduler of grid/global
-/// and write the target cluster index of pending[i] to targets[i].
-void plan_global_targets(const LightGrid& grid, const JobStore& jobs,
-                         const GridPending* pending, std::size_t n,
-                         std::uint32_t* targets);
-
-/// Route order shared by both engines: the indices of `pending` stably
+/// The route order of both engines: the indices of `pending` stably
 /// sorted by effective release, so equal releases route in submission
-/// order (the tie-break of the per-job route events the arrival pump
-/// replaced).  Resizes `order` to pending.size().
+/// order.  Resizes `order` to pending.size().  A stream fed in this
+/// order replays the batch run exactly.
 void sort_route_order(const JobStore& jobs,
                       const ArenaVec<GridPending>& pending,
                       ArenaVec<std::uint32_t>& order);
 
-/// The routing rule of both engines, applied to pending[i] at its
-/// arrival instant: the home cluster (isolated), the exchange winner
-/// (threshold / economic — the bids read every cluster's current
-/// expected_wait), or plan[i] (global-plan; `plan` is only read under
-/// that routing), widened to the first cluster at least min_procs wide.
-/// Counts the route in the profiler and a migration in `*migrations`
-/// when the target is not the home cluster.  Throws
-/// std::invalid_argument when the job is wider than every cluster.
-std::size_t grid_route_target(
-    const std::vector<std::unique_ptr<OnlineCluster>>& clusters,
-    const GridSimOptions& opts, const JobStore& jobs,
-    const GridPending* pending, const std::uint32_t* plan, std::size_t i,
-    long* migrations);
+/// The arrival front-end of both grid engines: everything between "a
+/// job is registered" and "a job reaches a cluster", in one place.  It
+/// owns the active trace (an engine-owned store, or a borrowed one),
+/// the pending table, the global plan, the release order and its
+/// cursor — entries before the cursor are routed, the rest are the
+/// unrouted tail — plus the migration count and the per-home counts
+/// the engines pre-size their clusters from at run().  GridSim drives
+/// it from its arrival pump (batch and streamed alike), ShardGridSim
+/// from its coordinator; every table lives in the engine's arena.
+class GridArrivals {
+ public:
+  using Clusters = std::vector<std::unique_ptr<OnlineCluster>>;
+
+  GridArrivals(std::size_t clusters, ArenaRef arena);
+
+  /// Register `j` with home cluster index `home` (compacted into the
+  /// owned store).
+  void submit(std::size_t home, const Job& j);
+  /// Register `per_cluster[i]` as the local workload of cluster i.
+  void submit_workloads(const std::vector<JobSet>& per_cluster);
+  /// Borrow `store`: rows grouped by home (group_pending_by_home), no
+  /// per-job copy.  The caller keeps `store` alive through the replay.
+  void submit_store(const JobStore& store);
+  /// Streamed registration: copy the row into the owned store (table
+  /// refs re-interned against `tables`) and insert it into the unrouted
+  /// tail at its route instant max(now, release), behind every row
+  /// already due then — ties route in ingestion order, and a
+  /// release-ordered stream is a plain append.  Returns the instant.
+  Time ingest(const HotJob& h, const TablePool& tables, std::size_t home,
+              Time now);
+
+  /// Close registration: plan every submission (kGlobalPlan routing),
+  /// sort the release order and pre-size each cluster's bookkeeping
+  /// from the per-home counts.  Later submit* calls throw.
+  void prepare(const LightGrid& grid, GridRouting routing,
+               const Clusters& clusters);
+
+  /// Any arrival left to route?
+  bool pending() const { return cursor_ < order_.size(); }
+  /// Effective release of the next arrival (pending() only).
+  Time next_release() const {
+    return effective_grid_release(
+        jobs()[pending_[order_[cursor_]].index].release);
+  }
+  /// Route the next arrival and advance the cursor: the home cluster
+  /// (isolated), the exchange winner (threshold / economic — the bids
+  /// read every cluster's current expected_wait) or the planned
+  /// cluster, widened to the first cluster wide enough.  Returns the
+  /// target cluster; `*row` receives the job's store row.  Throws
+  /// std::invalid_argument when the job is wider than every cluster.
+  std::size_t route_next(const Clusters& clusters, const GridSimOptions& opts,
+                         std::uint32_t* row);
+  /// Route and deliver every arrival released at or before `now` — the
+  /// body of one arrival-pump firing.
+  void route_due(Time now, const Clusters& clusters,
+                 const GridSimOptions& opts);
+  /// Hand store row `row` to `cluster` as a local job released now.
+  void deliver(std::uint32_t row, OnlineCluster& cluster) const;
+
+  /// Nothing registered yet (no row, no borrowed store)?
+  bool empty() const { return borrowed_ == nullptr && store_.empty(); }
+  /// Jobs registered so far.
+  std::size_t size() const { return pending_.size(); }
+  /// Registered jobs per home cluster.
+  const std::vector<std::size_t>& home_counts() const { return home_counts_; }
+  long migrations() const { return migrations_; }
+
+  /// Checkpoint section: the trace, the pending table, the plan, the
+  /// unrouted tail of the release order and the migration count.
+  void save(CheckpointWriter& w) const;
+  /// Restore a save()d section into this empty front-end (throws
+  /// CheckpointError on any count or index the blob cannot back).
+  void load(CheckpointReader& r, GridRouting routing);
+
+ private:
+  /// The active trace: borrowed after submit_store, else the owned one.
+  const JobStore& jobs() const {
+    return borrowed_ != nullptr ? *borrowed_ : store_;
+  }
+
+  std::size_t clusters_;
+  JobStore store_;  ///< owned rows (submit / ingest); empty when borrowing
+  const JobStore* borrowed_ = nullptr;
+  ArenaVec<GridPending> pending_;
+  ArenaVec<std::uint32_t> plan_;   ///< kGlobalPlan: pending index -> target
+  ArenaVec<std::uint32_t> order_;  ///< pending indices in route order
+  std::size_t cursor_ = 0;         ///< first unrouted entry of order_
+  std::vector<std::size_t> home_counts_;
+  long migrations_ = 0;
+  bool prepared_ = false;
+};
 
 /// Aggregate the outcome of a finished replay from the drained clusters
 /// (cluster-index order).  Shared by both engines.
@@ -225,10 +293,12 @@ class GridSim {
   /// Register `j` with home cluster index `home`.  Routing happens at
   /// j.release simulated time, inside `run()`.  The job is compacted
   /// into the engine's own store — no fat copy is kept.
-  void submit(std::size_t home, const Job& j);
+  void submit(std::size_t home, const Job& j) { arrivals_.submit(home, j); }
 
   /// Register `per_cluster[i]` as the local workload of cluster i.
-  void submit_workloads(const std::vector<JobSet>& per_cluster);
+  void submit_workloads(const std::vector<JobSet>& per_cluster) {
+    arrivals_.submit_workloads(per_cluster);
+  }
 
   /// Borrow an already-built trace: every job of `store` is registered
   /// with home cluster `community % cluster_count()`, grouped by home in
@@ -236,7 +306,7 @@ class GridSim {
   /// submit_workloads(split_by_community(jobs, cluster_count())) — with
   /// zero per-job copies (the regression bar of tests/test_job_store.cpp).
   /// The caller keeps `store` alive through run().
-  void submit_store(const JobStore& store);
+  void submit_store(const JobStore& store) { arrivals_.submit_store(store); }
 
   /// Route every submission, drive the event queue until it drains (or
   /// `horizon`), and aggregate the outcome.  Callable once.
@@ -280,13 +350,14 @@ class GridSim {
 
   /// Ingest one job row (tables resolved against `tables`) with home
   /// cluster `home`.  The job is copied into the engine's own store and
-  /// its routing decision fires at max(now, release) — ingest in
-  /// release order to reproduce the batch replay exactly.
+  /// joins the arrival pump's unrouted tail: it routes at max(now,
+  /// release), ties in ingestion order — ingest in release order to
+  /// reproduce the batch replay exactly.
   void ingest(const HotJob& h, const TablePool& tables, std::size_t home);
 
   /// Advance the stream clock to exactly `t`: every event strictly
-  /// ordered before (t, arrival-priority) executes; route events AT `t`
-  /// stay pending, so jobs ingested later with release == t still route
+  /// ordered before (t, arrival-priority) executes; a pump firing AT `t`
+  /// stays pending, so jobs ingested later with release == t still route
   /// ahead of same-instant completions — the batch pump's tie-break
   /// order.  Quiescent afterwards: checkpoint() is legal.
   void advance_to(Time t);
@@ -297,7 +368,7 @@ class GridSim {
 
   bool streaming() const { return streaming_; }
   /// Jobs ingested so far (streaming mode).
-  std::size_t ingested() const { return pending_.size(); }
+  std::size_t ingested() const { return arrivals_.size(); }
 
   std::size_t cluster_count() const { return clusters_.size(); }
   const OnlineCluster& cluster(std::size_t i) const { return *clusters_[i]; }
@@ -314,29 +385,19 @@ class GridSim {
   const ArenaStats& arena_stats() const { return arena_.stats(); }
 
  private:
-  using Pending = GridPending;
-
-  /// The active trace: borrowed when submit_store was used, else the
-  /// engine-owned store fed by submit().
-  const JobStore& jobs() const {
-    return borrowed_ != nullptr ? *borrowed_ : store_;
-  }
-
   void schedule_volatility();
-  void route(std::size_t pending_index);
-  /// The run() prelude (plan, release sort, arrival pump, volatility) —
-  /// shared by run() and run_to().
+  /// The run() prelude (arrivals prepared, arrival pump armed,
+  /// volatility scheduled) — shared by run() and run_to().
   void prepare_run();
   /// Digest of everything that must match between the snapshotting and
   /// the restoring engine: grid shape and options.
   std::uint64_t config_digest() const;
-  /// Arrival pump: ONE pending simulator event walks the submissions in
-  /// release order, instead of one pre-scheduled event per job (which
-  /// made the event queue — and its memory — scale with the whole trace
-  /// before the first event fired).  Fires at kArrivalPriority so
-  /// same-instant ordering against completions/volatility/best-effort
-  /// events matches the per-job scheduling it replaced.
+  /// Arrival pump: ONE pending simulator event routes every arrival due
+  /// at its instant, in release order, then re-arms at the next one —
+  /// the event queue never holds more than one arrival event, batch or
+  /// streamed.  Fires at kGridArrivalPriority.
   void pump_arrivals();
+  /// Arm the pump at the next arrival (clamped to now), if any.
   void schedule_next_arrival();
 
   LightGrid grid_;
@@ -346,32 +407,16 @@ class GridSim {
   Simulator sim_;
   std::vector<std::unique_ptr<OnlineCluster>> clusters_;
   std::unique_ptr<CentralServer> server_;
-  JobStore store_;  ///< submissions via submit(); empty when borrowing
-  const JobStore* borrowed_ = nullptr;
-  ArenaVec<Pending> pending_;
-  ArenaVec<std::uint32_t> plan_;  ///< kGlobalPlan: pending index -> target
-  ArenaVec<std::uint32_t> route_order_;  ///< pending indices by release
-  std::size_t route_cursor_ = 0;
-  long migrations_ = 0;
+  GridArrivals arrivals_;
   bool ran_ = false;
   bool streaming_ = false;
-  /// Arrival-pump bookkeeping for checkpoints: the (time, id) of the one
-  /// pump event schedule_next_arrival keeps in flight (stale once fired
-  /// without re-scheduling — a checkpoint filters on the live pending
-  /// set, ids are never reused).
+  /// The (time, id) of the pump event, in flight exactly while
+  /// arrivals_.pending() (stale otherwise; ids are never reused).
   EventId pump_event_ = 0;
   Time pump_time_ = 0.0;
   /// Every scheduled volatility event; checkpoint keeps the still-
   /// pending subset.
   std::vector<GridCapacityEvent> capacity_events_;
-  /// Streaming per-job route events: {t, id, pending index}; checkpoint
-  /// keeps the still-pending subset.
-  struct RouteEvent {
-    Time t = 0.0;
-    EventId id = 0;
-    std::uint64_t pending_index = 0;
-  };
-  std::vector<RouteEvent> route_events_;
 };
 
 /// Split a workload across `n` home clusters by community

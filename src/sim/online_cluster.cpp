@@ -493,16 +493,18 @@ void OnlineCluster::save_checkpoint(
 }
 
 void OnlineCluster::restore_checkpoint(CheckpointReader& r) {
+  // Every count below is bounded by the bytes one entry encodes in
+  // save_checkpoint (r.count), so a hostile count cannot allocate.
   load_table_pool(r, pool_);
 
   submitted_.clear();
-  const std::uint64_t n_submitted = r.u64();
+  const std::uint64_t n_submitted = r.count(kHotJobCheckpointBytes);
   submitted_.reserve(n_submitted);
   for (std::uint64_t i = 0; i < n_submitted; ++i)
     submitted_.push_back(load_hot_job(r));
 
   records_.clear();
-  const std::uint64_t n_records = r.u64();
+  const std::uint64_t n_records = r.count(44);
   records_.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i) {
     LocalJobRecord rec;
@@ -517,7 +519,7 @@ void OnlineCluster::restore_checkpoint(CheckpointReader& r) {
   }
 
   queue_.clear();
-  const std::uint64_t n_queue = r.u64();
+  const std::uint64_t n_queue = r.count(20);
   for (std::uint64_t i = 0; i < n_queue; ++i) {
     Queued q;
     q.record = static_cast<std::size_t>(r.u64());
@@ -533,7 +535,7 @@ void OnlineCluster::restore_checkpoint(CheckpointReader& r) {
   queue_min_priority_ = r.i32();
 
   running_.clear();
-  const std::uint64_t n_running = r.u64();
+  const std::uint64_t n_running = r.count(28);
   running_.reserve(n_running);
   for (std::uint64_t i = 0; i < n_running; ++i) {
     RunningLocal run;
@@ -550,7 +552,7 @@ void OnlineCluster::restore_checkpoint(CheckpointReader& r) {
   }
 
   be_running_.clear();
-  const std::uint64_t n_be = r.u64();
+  const std::uint64_t n_be = r.count(32);
   be_running_.reserve(n_be);
   for (std::uint64_t i = 0; i < n_be; ++i) {
     RunningBe be;
@@ -595,7 +597,7 @@ void OnlineCluster::restore_checkpoint(CheckpointReader& r) {
                        [this] { dispatch(); });
   }
 
-  const std::uint64_t n_words = r.u64();
+  const std::uint64_t n_words = r.count(8);
   std::vector<std::uint64_t> policy_words(n_words);
   for (std::uint64_t i = 0; i < n_words; ++i) policy_words[i] = r.u64();
   qpolicy_->restore_state(policy_words.data(), policy_words.size());

@@ -43,10 +43,7 @@ ShardGridSim::ShardGridSim(const LightGrid& grid, const GridSimOptions& opts,
     : grid_(grid),
       opts_(opts),
       arena_(arena != nullptr ? *arena : owned_arena_),
-      store_(ArenaRef(arena_)),
-      pending_(ArenaAllocator<GridPending>(ArenaRef(arena_))),
-      plan_(ArenaAllocator<std::uint32_t>(ArenaRef(arena_))),
-      route_order_(ArenaAllocator<std::uint32_t>(ArenaRef(arena_))) {
+      arrivals_(grid_.clusters.size(), ArenaRef(arena_)) {
   if (grid_.clusters.empty())
     throw std::invalid_argument("grid without clusters");
   if (threads < 0)
@@ -83,8 +80,7 @@ std::vector<std::uint32_t> ShardGridSim::compute_placement() const {
   // proxies expected load (routing may migrate some away, but home
   // counts are the right order of magnitude); the +1 keeps empty
   // clusters from costing nothing at all.
-  std::vector<std::size_t> jobs_at_home(n, 0);
-  for (const GridPending& p : pending_) ++jobs_at_home[p.home];
+  const std::vector<std::size_t>& jobs_at_home = arrivals_.home_counts();
   std::vector<double> cost(n);
   for (std::size_t i = 0; i < n; ++i)
     cost[i] = static_cast<double>(grid_.clusters[i].processors()) *
@@ -131,11 +127,6 @@ void ShardGridSim::ensure_materialized() const {
     for (auto& c : clusters_)
       c->set_besteffort_source(server_->make_source());
   }
-  if (!deferred_reserve_.empty()) {
-    for (std::size_t c = 0; c < deferred_reserve_.size(); ++c)
-      clusters_[c]->reserve_submissions(deferred_reserve_[c]);
-    deferred_reserve_.clear();
-  }
 }
 
 int ShardGridSim::shard_count() const {
@@ -154,97 +145,12 @@ std::size_t ShardGridSim::arena_peak_bytes() const {
   return total;
 }
 
-void ShardGridSim::submit(std::size_t home, const Job& j) {
-  if (ran_) throw std::logic_error("submit after run()");
-  if (borrowed_ != nullptr)
-    throw std::logic_error("cannot mix submit() with submit_store()");
-  if (home >= grid_.clusters.size())
-    throw std::invalid_argument("home cluster out of range");
-  store_.append(j);
-  pending_.push_back(GridPending{static_cast<std::uint32_t>(home),
-                                 static_cast<std::uint32_t>(store_.size() - 1)});
-}
-
-void ShardGridSim::submit_workloads(const std::vector<JobSet>& per_cluster) {
-  if (per_cluster.size() > grid_.clusters.size())
-    throw std::invalid_argument("more workloads than clusters");
-  std::size_t total = 0;
-  for (const JobSet& jobs : per_cluster) total += jobs.size();
-  pending_.reserve(pending_.size() + total);
-  store_.reserve(store_.size() + total);
-  if (deferred_reserve_.empty() && !materialized_)
-    deferred_reserve_.assign(grid_.clusters.size(), 0);
-  for (std::size_t i = 0; i < per_cluster.size(); ++i) {
-    if (materialized_)
-      clusters_[i]->reserve_submissions(per_cluster[i].size());
-    else
-      deferred_reserve_[i] += per_cluster[i].size();
-    for (const Job& j : per_cluster[i]) submit(i, j);
-  }
-}
-
-void ShardGridSim::submit_store(const JobStore& store) {
-  if (ran_) throw std::logic_error("submit after run()");
-  if (borrowed_ != nullptr || !store_.empty())
-    throw std::logic_error("cannot mix submit_store() with prior submissions");
-  borrowed_ = &store;
-  const std::vector<std::size_t> counts =
-      group_pending_by_home(store, grid_.clusters.size(), pending_);
-  if (materialized_) {
-    for (std::size_t c = 0; c < grid_.clusters.size(); ++c)
-      clusters_[c]->reserve_submissions(counts[c]);
-  } else {
-    if (deferred_reserve_.empty())
-      deferred_reserve_.assign(grid_.clusters.size(), 0);
-    for (std::size_t c = 0; c < grid_.clusters.size(); ++c)
-      deferred_reserve_[c] += counts[c];
-  }
-}
-
-void ShardGridSim::route_one(std::size_t pending_index) {
-  const JobStore& js = jobs();
-  const std::size_t target =
-      grid_route_target(clusters_, opts_, js, pending_.data(), plan_.data(),
-                        pending_index, &migrations_);
-  HotJob h = js[pending_[pending_index].index];
-  h.release = 0.0;
-  clusters_[target]->submit_local(h, js.tables());
-}
-
-void ShardGridSim::arm_pump() {
-  // The serial engine's schedule_next_arrival allocates an id for the
-  // pump event here; consume the same id from the shared counter so
-  // every subsequent allocation matches serially.  The pump never
-  // enters a shard queue — run_coupled merges its (t, -2, id) key
-  // virtually.
-  if (route_cursor_ >= route_order_.size()) {
-    pump_armed_ = false;
-    return;
-  }
-  pump_t_ = effective_grid_release(
-      jobs()[pending_[route_order_[route_cursor_]].index].release);
-  pump_id_ = id_counter_.fetch_add(1, std::memory_order_relaxed);
-  pump_armed_ = true;
-}
-
 GridSimResult ShardGridSim::run(Time horizon) {
   LGS_PROF_ZONE("grid.run");
   if (ran_) throw std::logic_error("run() called twice");
   ensure_materialized();
   ran_ = true;
-  if (opts_.routing == GridRouting::kGlobalPlan) {
-    plan_.resize(pending_.size());
-    plan_global_targets(grid_, jobs(), pending_.data(), pending_.size(),
-                        plan_.data());
-  }
-  sort_route_order(jobs(), pending_, route_order_);
-  route_cursor_ = 0;
-  const bool coupled = server_ != nullptr && shards_.size() > 1;
-  // Serial id layout with bags: bootstrap dispatches took ids 1..N at
-  // materialization; the serial engine allocates its pump event id
-  // next, BEFORE the volatility events — mirror that here so the churn
-  // stream ids line up.
-  if (coupled) arm_pump();
+  arrivals_.prepare(grid_, opts_.routing, clusters_);
   // Volatility churn before any worker starts: per-cluster order-free
   // streams (grid_sim.h), scheduled on the owning shard's queue.
   for (std::size_t c = 0; c < clusters_.size(); ++c)
@@ -252,7 +158,7 @@ GridSimResult ShardGridSim::run(Time horizon) {
                                 opts_.volatility, opts_.volatility_seed, c);
   if (shards_.size() == 1)
     run_single(horizon);
-  else if (coupled)
+  else if (server_ != nullptr)
     run_coupled(horizon);
   else
     run_static(horizon);
@@ -261,24 +167,20 @@ GridSimResult ShardGridSim::run(Time horizon) {
   // its serial event subsequence, so per-shard finals match).
   Time end = 0.0;
   for (const auto& sh : shards_) end = std::max(end, sh->sim->now());
-  return aggregate_grid_result(clusters_, end, migrations_, server_.get());
+  return aggregate_grid_result(clusters_, end, arrivals_.migrations(),
+                               server_.get());
 }
 
 void ShardGridSim::run_single(Time horizon) {
   // One shard: the serial event order replayed inline on the calling
   // thread (no workers) — the degenerate case of every strategy.
   Simulator& sim = *shards_[0]->sim;
-  const JobStore& js = jobs();
-  while (route_cursor_ < route_order_.size()) {
-    const Time t = effective_grid_release(
-        js[pending_[route_order_[route_cursor_]].index].release);
+  while (arrivals_.pending()) {
+    const Time t = arrivals_.next_release();
     if (t > horizon) break;
     sim.run_until(t, kGridArrivalPriority);
     LGS_PROF_COUNT("grid.arrival_batches", 1);
-    while (route_cursor_ < route_order_.size() &&
-           effective_grid_release(
-               js[pending_[route_order_[route_cursor_]].index].release) <= t)
-      route_one(route_order_[route_cursor_++]);
+    arrivals_.route_due(t, clusters_, opts_);
   }
   sim.run(horizon);
 }
@@ -290,17 +192,17 @@ void ShardGridSim::run_coupled(Time horizon) {
   // land on the exact serial id, so by induction the replay (including
   // every grant-FIFO pop, kill-resubmit and completion) IS the serial
   // replay, just stored in per-shard queues.  The serial arrival pump
-  // participates as a virtual event: arm_pump() holds its (t, -2, id)
-  // key; when it wins the merge, the coordinator pins every shard
-  // clock to the batch instant and routes the batch inline, exactly
-  // like the serial pump callback.
+  // participates as a virtual event keyed (next release,
+  // kGridArrivalPriority) — no shard event has that priority, so the
+  // key needs no id; when it wins the merge, the coordinator pins every
+  // shard clock to the batch instant and routes the batch inline,
+  // exactly like the serial pump callback.
   //
   // The moment the campaign completes (completed() == total_runs())
   // the FIFO is silent FOREVER — nothing pending, nothing running, so
   // no future dispatch can pop a grant, no kill can resubmit, no
   // completion can land — and the remaining replay decomposes like a
   // bag-free run: hand off to the parallel strategy for the tail.
-  const JobStore& js = jobs();
   const long target_runs = server_->total_runs();
   bool handoff = false;
   for (;;) {
@@ -325,28 +227,22 @@ void ShardGridSim::run_coupled(Time horizon) {
         bid = id;
       }
     }
+    const bool pump_armed = arrivals_.pending();
+    const Time pump_t = pump_armed ? arrivals_.next_release() : 0.0;
     const bool pump_best =
-        pump_armed_ &&
-        (best_shard < 0 || pump_t_ < bt ||
-         (pump_t_ == bt && (kGridArrivalPriority < bp ||
-                            (kGridArrivalPriority == bp && pump_id_ < bid))));
-    if (best_shard < 0 && !pump_armed_) break;
-    const Time next_t = pump_best ? pump_t_ : bt;
+        pump_armed && (best_shard < 0 || pump_t < bt ||
+                       (pump_t == bt && kGridArrivalPriority < bp));
+    if (best_shard < 0 && !pump_armed) break;
+    const Time next_t = pump_best ? pump_t : bt;
     if (next_t > horizon) break;
     if (pump_best) {
       // Everything ordered before the pump already ran, so run_until
       // executes nothing — it pins each shard clock to the batch
       // instant (exchange bids and submit records read now()).
       for (const auto& sh : shards_)
-        sh->sim->run_until(pump_t_, kGridArrivalPriority);
+        sh->sim->run_until(pump_t, kGridArrivalPriority);
       LGS_PROF_COUNT("grid.arrival_batches", 1);
-      const Time t = pump_t_;
-      pump_armed_ = false;
-      while (route_cursor_ < route_order_.size() &&
-             effective_grid_release(
-                 js[pending_[route_order_[route_cursor_]].index].release) <= t)
-        route_one(route_order_[route_cursor_++]);
-      arm_pump();
+      arrivals_.route_due(pump_t, clusters_, opts_);
     } else {
       shards_[static_cast<std::size_t>(best_shard)]->sim->step_one();
     }
@@ -356,7 +252,6 @@ void ShardGridSim::run_coupled(Time horizon) {
     for (const auto& sh : shards_) sh->sim->run(horizon);
     return;
   }
-  pump_armed_ = false;
   // Parallel tail: the FIFO is silent, so the remaining replay obeys
   // the bag-free determinism argument (workers' id draws stay
   // per-shard monotone on the shared counter; concurrent request()
@@ -369,7 +264,6 @@ void ShardGridSim::worker_static(std::size_t s, Time horizon) {
   Shard& sh = *shards_[s];
   try {
     LGS_PROF_ZONE("grid.shard_run");
-    const JobStore& js = jobs();
     Time batch_t = -1.0;
     Shard::Arrival buf[Shard::kArrivalBatch];
     // Blocking bulk pop: each arrival's instant bounds how far this
@@ -384,9 +278,7 @@ void ShardGridSim::worker_static(std::size_t s, Time horizon) {
           batch_t = a.release;
           LGS_PROF_COUNT("grid.arrival_batches", 1);
         }
-        HotJob h = js[a.job];
-        h.release = 0.0;
-        clusters_[a.cluster]->submit_local(h, js.tables());
+        arrivals_.deliver(a.job, *clusters_[a.cluster]);
       }
     }
     sh.sim->run(horizon);
@@ -418,21 +310,18 @@ void ShardGridSim::run_static(Time horizon) {
   try {
     for (std::size_t s = 0; s < shards_.size(); ++s)
       pool.emplace_back([this, s, horizon] { worker_static(s, horizon); });
-    const JobStore& js = jobs();
     for (auto& sh : shards_) {
       sh->staging.clear();
       sh->staging.reserve(Shard::kArrivalBatch);
     }
-    for (; route_cursor_ < route_order_.size(); ++route_cursor_) {
-      const std::uint32_t idx = route_order_[route_cursor_];
-      const Time t = effective_grid_release(js[pending_[idx].index].release);
+    while (arrivals_.pending()) {
+      const Time t = arrivals_.next_release();
       if (t > horizon) break;
-      const std::size_t target =
-          grid_route_target(clusters_, opts_, js, pending_.data(),
-                            plan_.data(), idx, &migrations_);
+      std::uint32_t row = 0;
+      const std::size_t target = arrivals_.route_next(clusters_, opts_, &row);
       Shard& sh = *shards_[shard_of_[target]];
-      sh.staging.push_back(Shard::Arrival{
-          t, static_cast<std::uint32_t>(target), pending_[idx].index});
+      sh.staging.push_back(
+          Shard::Arrival{t, static_cast<std::uint32_t>(target), row});
       if (sh.staging.size() >= Shard::kArrivalBatch) {
         sh.mailbox.push_n(sh.staging.data(), sh.staging.size());
         sh.staging.clear();

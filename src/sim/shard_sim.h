@@ -33,8 +33,9 @@
 //    queues — by induction this reproduces the serial engine's id
 //    assignment and execution order exactly, so every FIFO operation
 //    happens in serial order.  The serial arrival pump is mirrored as
-//    a *virtual* event (its id is allocated from the shared counter at
-//    the serial position, but it never enters a shard queue).  Once
+//    a *virtual* event keyed (next release, kGridArrivalPriority): it
+//    never enters a shard queue and draws no id — no shard event shares
+//    its priority, so its id could never break a tie.  Once
 //    the campaign completes (`completed() == total_runs()`) the FIFO
 //    is provably silent forever — no run is pending or running
 //    anywhere, so no future dispatch can pop, kill or complete a grant
@@ -84,15 +85,17 @@
 namespace lgs {
 
 /// Parallel drop-in for GridSim: same construction, submission and
-/// run-once surface, same GridSimResult, bit-identical outcome.
+/// run-once surface, same GridSimResult, bit-identical outcome.  The
+/// submission surface and the arrival walk are GridSim's own front-end
+/// (GridArrivals).
 ///
 /// `threads` requests the worker count: 0 = hardware_concurrency,
 /// clamped to [1, cluster_count()], and to 1 under threshold / economic
-/// routing.  Memory follows GridSim's
-/// replay-arena discipline, but per shard: the coordinator arena holds
-/// the store and routing tables, and each shard owns a private arena
-/// for its simulator and clusters so PR 6's allocation discipline holds
-/// without cross-thread contention.
+/// routing.  Memory follows GridSim's replay-arena discipline, but per
+/// shard: the coordinator arena holds the arrival front-end (store and
+/// routing tables), and each shard owns a private arena for its
+/// simulator and clusters, so allocation needs no cross-thread
+/// contention.
 ///
 /// Cluster -> shard placement is decided lazily (first access of
 /// cluster()/clusters()/shard_of() or run()), so the LPT cost model can
@@ -108,11 +111,13 @@ class ShardGridSim {
   ShardGridSim& operator=(const ShardGridSim&) = delete;
 
   /// Register `j` with home cluster index `home` (see GridSim::submit).
-  void submit(std::size_t home, const Job& j);
+  void submit(std::size_t home, const Job& j) { arrivals_.submit(home, j); }
   /// Register `per_cluster[i]` as the local workload of cluster i.
-  void submit_workloads(const std::vector<JobSet>& per_cluster);
+  void submit_workloads(const std::vector<JobSet>& per_cluster) {
+    arrivals_.submit_workloads(per_cluster);
+  }
   /// Borrow an already-built trace (see GridSim::submit_store).
-  void submit_store(const JobStore& store);
+  void submit_store(const JobStore& store) { arrivals_.submit_store(store); }
 
   /// Route every submission, drive all shard queues until they drain
   /// (or `horizon`), and aggregate the outcome.  Callable once; worker
@@ -146,20 +151,11 @@ class ShardGridSim {
  private:
   struct Shard;
 
-  const JobStore& jobs() const {
-    return borrowed_ != nullptr ? *borrowed_ : store_;
-  }
   /// Bind clusters to shards (placement + construction + central
   /// server).  Idempotent; called by run() and the cluster accessors.
   void ensure_materialized() const;
   /// Cluster -> shard map: LPT over the cost model.
   std::vector<std::uint32_t> compute_placement() const;
-  /// Serial-order routing + submission of one pending entry (one shard,
-  /// or the coupled prefix with every shard clock pinned).
-  void route_one(std::size_t pending_index);
-  /// Mirror the serial pump: allocate the id the serial engine's next
-  /// arrival-pump event would carry (coupled strategy only).
-  void arm_pump();
   void run_single(Time horizon);
   void run_coupled(Time horizon);
   void run_static(Time horizon);
@@ -168,27 +164,18 @@ class ShardGridSim {
   LightGrid grid_;
   GridSimOptions opts_;
   Arena owned_arena_;  ///< unused (empty) when an external arena is given
-  Arena& arena_;       ///< coordinator arena (store + routing tables)
+  Arena& arena_;       ///< coordinator arena (the arrival front-end)
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Lazily materialized (mutable: const accessors may trigger it).
   mutable std::vector<std::uint32_t> shard_of_;  ///< cluster -> shard
   mutable std::vector<std::unique_ptr<OnlineCluster>> clusters_;
   mutable std::unique_ptr<CentralServer> server_;
-  mutable std::vector<std::size_t> deferred_reserve_;  ///< per home cluster
   mutable bool materialized_ = false;
   /// Shared insertion-id counter of the coupled strategy (serial id 1
   /// is the first bootstrap dispatch, as in GridSim).
   mutable std::atomic<EventId> id_counter_{1};
-  JobStore store_;  ///< submissions via submit(); empty when borrowing
-  const JobStore* borrowed_ = nullptr;
-  ArenaVec<GridPending> pending_;
-  ArenaVec<std::uint32_t> plan_;  ///< kGlobalPlan: pending index -> target
-  ArenaVec<std::uint32_t> route_order_;  ///< pending indices by release
-  std::size_t route_cursor_ = 0;  ///< next arrival (strategies resume here)
-  bool pump_armed_ = false;  ///< coupled: virtual pump event pending
-  Time pump_t_ = 0.0;
-  EventId pump_id_ = 0;
-  long migrations_ = 0;
+  /// Submissions and the arrival cursor (strategies resume from it).
+  GridArrivals arrivals_;
   bool ran_ = false;
 };
 

@@ -2,11 +2,12 @@
 // into a fresh engine must finish BIT-IDENTICAL to the uninterrupted
 // run — the same pinned golden digests of tests/test_replay_golden.cpp,
 // across all four routing modes, volatility churn and the best-effort
-// layer.  Plus the framing rejections: truncation, corruption, version
-// skew, config mismatch.
+// layer.  Plus the rejections: truncation, corruption, version skew,
+// config mismatch, and element counts the blob cannot back.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,101 @@ TEST(Checkpoint, RejectsCorruptedSnapshot) {
   blob[blob.size() / 2] ^= 0x40;
   GridSim reader = make_engine(sc);
   EXPECT_THROW(reader.restore(blob), CheckpointError);
+}
+
+/// Overwrite the u64 at byte `offset` of a snapshot and re-seal the
+/// FNV-1a trailer, so the mutation passes the checksum and reaches the
+/// engine parsers — what a crafted or bit-rotted blob can do.
+void patch_u64(std::vector<unsigned char>& blob, std::size_t offset,
+               std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    blob[offset + i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
+  const std::size_t body = blob.size() - 8;
+  const std::uint64_t sum =
+      checkpoint_fnv1a(kCheckpointFnvBasis, blob.data(), body);
+  for (int i = 0; i < 8; ++i)
+    blob[body + i] = static_cast<unsigned char>((sum >> (8 * i)) & 0xff);
+}
+
+/// Byte offset of the next unread field of `r` inside `blob`.
+std::size_t offset_of(const CheckpointReader& r,
+                      const std::vector<unsigned char>& blob) {
+  return blob.size() - 8 - r.remaining();
+}
+
+/// Skip a GridSim snapshot's header fields: engine tag, config digest,
+/// the two mode flags, clock, next id and executed count.
+void skip_gridsim_header(CheckpointReader& r) {
+  r.str();
+  r.u64();
+  r.u8();
+  r.u8();
+  r.f64();
+  r.u64();
+  r.u64();
+}
+
+TEST(Checkpoint, RejectsHugeTablePoolCount) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenScenario sc = golden_scenarios()[0];
+  GridSim writer = make_engine(sc);
+  submit_golden(writer);
+  writer.run_to(7.25);
+  std::vector<unsigned char> blob = writer.checkpoint();
+  // The table-pool time count of the job store follows the header.
+  CheckpointReader r(blob);
+  skip_gridsim_header(r);
+  const std::size_t at = offset_of(r, blob);
+  ASSERT_EQ(at, 61u);
+  patch_u64(blob, at, std::uint64_t{1} << 61);
+  GridSim reader = make_engine(sc);
+  EXPECT_THROW(reader.restore(blob), CheckpointError);
+}
+
+TEST(Checkpoint, RejectsHugeArrivalCounts) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenScenario sc = golden_scenarios()[0];
+  GridSim writer = make_engine(sc);
+  submit_golden(writer);
+  writer.run_to(7.25);
+  const std::vector<unsigned char> blob = writer.checkpoint();
+  // Walk to the arrival section's counts: pending table, plan, tail.
+  CheckpointReader r(blob);
+  skip_gridsim_header(r);
+  JobStore scratch;
+  load_job_store(r, scratch);
+  std::vector<std::size_t> counts;
+  counts.push_back(offset_of(r, blob));
+  for (std::uint64_t n = r.u64(); n > 0; --n) r.u64();
+  counts.push_back(offset_of(r, blob));
+  for (std::uint64_t n = r.u64(); n > 0; --n) r.u32();
+  counts.push_back(offset_of(r, blob));
+  ASSERT_GT(r.u64(), 0u);  // arrivals are still unrouted at t = 7.25
+  for (const std::size_t at : counts) {
+    for (const std::uint64_t huge :
+         {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+      std::vector<unsigned char> bad = blob;
+      patch_u64(bad, at, huge);
+      GridSim reader = make_engine(sc);
+      EXPECT_THROW(reader.restore(bad), CheckpointError)
+          << "count at byte " << at << " = " << huge;
+    }
+  }
+}
+
+TEST(CheckpointFraming, CountBeyondPayloadRejected) {
+  CheckpointWriter w;
+  w.u64(3);
+  w.f64(1.0);
+  w.f64(2.0);
+  w.f64(3.0);
+  w.u64(4);
+  w.f64(1.0);
+  const std::vector<unsigned char> blob = w.finish();
+  CheckpointReader r(blob);
+  EXPECT_EQ(r.count(8), 3u);
+  for (int i = 0; i < 3; ++i) r.f64();
+  EXPECT_THROW(r.count(8), CheckpointError);
 }
 
 TEST(Checkpoint, RejectsVersionSkew) {

@@ -7,9 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -21,8 +21,9 @@ namespace {
 
 /// The golden workload as a store plus the exact order the batch engine
 /// routes it: grouped by home cluster (community % n, store order
-/// within each group), then stably sorted by effective release — the
-/// order a live submission front-end would naturally produce.
+/// within each group), then put in the engine's own release order
+/// (sort_route_order) — the order a live submission front-end would
+/// naturally produce.
 struct GoldenStream {
   JobStore store;
   std::vector<HotJob> feed;  ///< rows in batch route order
@@ -32,19 +33,18 @@ GoldenStream golden_stream(std::size_t clusters) {
   GoldenStream gs{to_job_store(golden_workload()), {}};
   ArenaVec<GridPending> pending;
   group_pending_by_home(gs.store, clusters, pending);
-  std::vector<std::uint32_t> order(pending.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return effective_grid_release(
-                                gs.store[pending[a].index].release) <
-                            effective_grid_release(
-                                gs.store[pending[b].index].release);
-                   });
+  ArenaVec<std::uint32_t> order;
+  sort_route_order(gs.store, pending, order);
   gs.feed.reserve(order.size());
   for (const std::uint32_t i : order)
     gs.feed.push_back(gs.store[pending[i].index]);
   return gs;
+}
+
+/// Home rule of GridSim::submit_store: community % cluster count.
+std::size_t home_of(const HotJob& h, std::size_t clusters) {
+  return static_cast<std::size_t>(h.community < 0 ? 0 : h.community) %
+         clusters;
 }
 
 /// Streaming-capable golden scenarios (kGlobalPlan needs the whole
@@ -68,6 +68,65 @@ TEST(StreamSim, MatchesBatchGoldenDigests) {
     EXPECT_EQ(digest_grid_result(svc.grid_sim(), res), digests[i].digest)
         << scenarios[i].name;
   }
+}
+
+TEST(StreamSim, ReverseOrderedReleaseGroupsMatchBatchDigests) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const auto scenarios = golden_scenarios();
+  const auto digests = golden_digests();
+  const GoldenStream gs = golden_stream(4);
+  // Runs of equal effective release, [begin, end) into the feed.
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  for (std::size_t b = 0; b < gs.feed.size();) {
+    const Time t = effective_grid_release(gs.feed[b].release);
+    std::size_t e = b + 1;
+    while (e < gs.feed.size() &&
+           effective_grid_release(gs.feed[e].release) == t)
+      ++e;
+    groups.emplace_back(b, e);
+    b = e;
+  }
+  ASSERT_GT(groups.size(), 1u);
+  for (const std::size_t i : streamable_scenarios()) {
+    // Every row is ingested before the clock moves, latest release
+    // group first: routing still follows release order, with ties in
+    // ingestion order, so the batch digest must come out.
+    GridSim sim(make_skewed_grid(4, 24, 2.0), golden_options(scenarios[i]));
+    sim.begin_streaming();
+    for (auto g = groups.rbegin(); g != groups.rend(); ++g)
+      for (std::size_t k = g->first; k < g->second; ++k)
+        sim.ingest(gs.feed[k], gs.store.tables(), home_of(gs.feed[k], 4));
+    const GridSimResult res = sim.finish_streaming();
+    EXPECT_EQ(digest_grid_result(sim, res), digests[i].digest)
+        << scenarios[i].name;
+  }
+}
+
+TEST(StreamSim, LateRowRoutesAtTheStreamClock) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenStream gs = golden_stream(4);
+  GridSim sim(make_skewed_grid(4, 24, 2.0),
+              golden_options(golden_scenarios()[0]));  // isolated
+  sim.begin_streaming();
+  const Time t = 5.0;
+  sim.advance_to(t);
+  // An on-time row at the frontier, then a row released before it:
+  // both route at the stream clock, in ingestion order.
+  HotJob on_time = gs.feed[0];
+  on_time.id = 1001;
+  on_time.release = t;
+  HotJob late = gs.feed[0];
+  late.id = 1002;
+  late.release = 1.0;
+  sim.ingest(on_time, gs.store.tables(), 0);
+  sim.ingest(late, gs.store.tables(), 0);
+  sim.finish_streaming();
+  const auto& recs = sim.cluster(0).local_records();
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].id, on_time.id);
+  EXPECT_EQ(recs[1].id, late.id);
+  EXPECT_EQ(recs[0].submit, t);
+  EXPECT_EQ(recs[1].submit, t);
 }
 
 TEST(StreamSim, GlobalPlanRoutingIsRejected) {
