@@ -44,8 +44,10 @@
 //
 // Each size point exports `shard_wall_ratio` = grid_sim wall time over
 // grid_sharded wall time for the same replay (> 1: sharding paid).  A
-// wall-time ratio, not an events/sec one: the sharded engine executes
-// no arrival-pump events, so its event count is not comparable.  The
+// wall-time ratio, not an events/sec one: every shard runs its own
+// arrival pump, which fires once per release instant that has an
+// arrival for the shard, so the sharded event count depends on the
+// partition (it equals grid_sim's at one shard).  The
 // name deliberately avoids the gated speedup* / *_per_sec keys: on
 // small runners (or --grid-threads 1) the ratio hovers around or below
 // 1 and would flap a gate; it is a trajectory metric, read from the
@@ -261,8 +263,8 @@ SizeResult run_size(std::size_t n, int clusters, std::uint64_t seed,
 
   for (int rep = 0; rep < repeat; ++rep) {
     // Phase: the SAME grid point replayed through the sharded engine
-    // (sim/shard_sim.h) — isolated routing, no bags, so the static
-    // no-barrier strategy fans the clusters out across worker threads.
+    // (sim/shard_sim.h) — isolated routing, no bags, so the arrivals are
+    // routed up front and the clusters fan out across worker threads.
     // Bit-identical to grid_sim by the determinism contract; this phase
     // measures what the parallelism buys.
     arena.reset();

@@ -8,21 +8,21 @@ namespace lgs {
 
 ExecModel ExecModel::sequential(Time t) {
   if (t <= 0) throw std::invalid_argument("sequential time must be positive");
-  return ExecModel(Rep(Seq{t}));
+  return ExecModel(Seq{t});
 }
 
 ExecModel ExecModel::amdahl(Time t1, double serial_fraction) {
   if (t1 <= 0) throw std::invalid_argument("t1 must be positive");
   if (serial_fraction < 0.0 || serial_fraction > 1.0)
     throw std::invalid_argument("serial fraction must be in [0,1]");
-  return ExecModel(Rep(Amdahl{t1, serial_fraction}));
+  return ExecModel(Amdahl{t1, serial_fraction});
 }
 
 ExecModel ExecModel::power_law(Time t1, double alpha) {
   if (t1 <= 0) throw std::invalid_argument("t1 must be positive");
   if (alpha <= 0.0 || alpha > 1.0)
     throw std::invalid_argument("alpha must be in (0,1]");
-  return ExecModel(Rep(Power{t1, alpha}));
+  return ExecModel(Power{t1, alpha});
 }
 
 ExecModel ExecModel::comm_penalty(Time t1, double overhead_per_proc) {
@@ -42,7 +42,7 @@ ExecModel ExecModel::comm_penalty(Time t1, double overhead_per_proc) {
   } else {
     best_k = std::numeric_limits<int>::max();
   }
-  return ExecModel(Rep(CommPenalty{t1, overhead_per_proc, best_k}));
+  return ExecModel(CommPenalty{t1, overhead_per_proc, best_k});
 }
 
 ExecModel ExecModel::table(std::vector<Time> times) {
@@ -53,7 +53,7 @@ ExecModel ExecModel::table(std::vector<Time> times) {
   // fewer, so the effective time is the best over all counts <= k.
   for (std::size_t i = 1; i < times.size(); ++i)
     times[i] = std::min(times[i], times[i - 1]);
-  return ExecModel(Rep(Table{std::move(times)}));
+  return ExecModel(Table{std::move(times)});
 }
 
 Time ExecModel::time(int k) const {

@@ -96,7 +96,11 @@ class ExecModel {
   };
   using Rep = std::variant<Seq, Amdahl, Power, CommPenalty, Table>;
 
-  explicit ExecModel(Rep rep) : rep_(std::move(rep)) {}
+  /// Construct the variant straight from its alternative: no temporary
+  /// Rep is moved from (gcc 12 flags that move's inactive vector member
+  /// as maybe-uninitialized).
+  template <class Alt>
+  explicit ExecModel(Alt alt) : rep_(std::move(alt)) {}
   Rep rep_;
 };
 

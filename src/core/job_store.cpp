@@ -89,7 +89,7 @@ void save_hot_job(CheckpointWriter& w, const HotJob& h) {
   w.u8(static_cast<std::uint8_t>(h.kind));
 }
 
-HotJob load_hot_job(CheckpointReader& r) {
+HotJob load_hot_job(CheckpointReader& r, const TablePool& tables) {
   HotJob h;
   h.release = r.f64();
   h.weight = r.f64();
@@ -101,8 +101,15 @@ HotJob load_hot_job(CheckpointReader& r) {
   h.max_procs = r.i32();
   h.community = r.i32();
   h.exec_c = r.u32();
-  h.exec_kind = static_cast<ExecKind>(r.u8());
-  h.kind = static_cast<JobKind>(r.u8());
+  const std::uint8_t exec_kind = r.u8();
+  const std::uint8_t kind = r.u8();
+  if (exec_kind > static_cast<std::uint8_t>(ExecKind::kRigidConst) ||
+      kind > static_cast<std::uint8_t>(JobKind::kMalleable))
+    throw CheckpointError("job row with an unknown exec or job kind");
+  h.exec_kind = static_cast<ExecKind>(exec_kind);
+  h.kind = static_cast<JobKind>(kind);
+  if (h.exec_kind == ExecKind::kTable && h.exec_c >= tables.tables())
+    throw CheckpointError("job row references an unknown time table");
   return h;
 }
 
@@ -120,11 +127,15 @@ void save_table_pool(CheckpointWriter& w, const TablePool& pool) {
 void load_table_pool(CheckpointReader& r, TablePool& pool) {
   std::vector<Time> times(r.count(8));
   for (Time& t : times) t = r.f64();
+  const std::uint64_t n_times = times.size();
   pool.restore_times(std::move(times));
   const std::uint64_t descs = r.count(8);
   for (std::uint64_t i = 0; i < descs; ++i) {
     const std::uint32_t off = r.u32();
     const std::uint32_t len = r.u32();
+    // Every table is a non-empty run of the restored times.
+    if (len == 0 || std::uint64_t{off} + len > n_times)
+      throw CheckpointError("time table descriptor outside the pool");
     pool.restore_desc(off, len);
   }
 }
@@ -141,7 +152,8 @@ void load_job_store(CheckpointReader& r, JobStore& store) {
   load_table_pool(r, store.mutable_tables());
   const std::uint64_t n = r.count(kHotJobCheckpointBytes);
   store.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) store.append_raw(load_hot_job(r));
+  for (std::uint64_t i = 0; i < n; ++i)
+    store.append_raw(load_hot_job(r, store.tables()));
 }
 
 }  // namespace lgs

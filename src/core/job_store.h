@@ -151,10 +151,13 @@ class CheckpointWriter;
 inline constexpr std::size_t kHotJobCheckpointBytes = 5 * 8 + 5 * 4 + 2;
 
 void save_hot_job(CheckpointWriter& w, const HotJob& h);
-HotJob load_hot_job(CheckpointReader& r);
+/// Throws CheckpointError on an unknown kind or a table ref outside
+/// `tables` (the already-restored pool the row indexes into).
+HotJob load_hot_job(CheckpointReader& r, const TablePool& tables);
 
 void save_table_pool(CheckpointWriter& w, const TablePool& pool);
-/// Restores into `pool` (dropping its previous slabs).
+/// Restores into `pool` (dropping its previous slabs).  Throws
+/// CheckpointError on a descriptor outside the restored times.
 void load_table_pool(CheckpointReader& r, TablePool& pool);
 
 /// Whole-store snapshot: pool + every hot row.

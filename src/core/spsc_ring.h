@@ -1,14 +1,15 @@
-// Bounded lock-free single-producer/single-consumer ring (the cross-
-// shard mailbox of sim/shard_sim.h).
+// Bounded lock-free single-producer/single-consumer ring (the ingest
+// queue between a producer thread and the streaming service of
+// sim/stream_sim.h).
 //
-// One producer thread pushes, one consumer thread peeks/pops; the two
-// never share an index: each side owns its own atomic position and keeps
-// a cached copy of the other side's, so the hot path is a store-release
-// on the own index and an occasional load-acquire of the opposite one
-// (the classic Lamport queue with index caching, cf. the SPSC/SPMC
-// queues in lock-free work-distribution libraries).  `close()` publishes
-// "no more items": a consumer blocked in wait_peek() drains the residue
-// and then observes end-of-stream.
+// One producer thread pushes, one consumer thread pops in batches; the
+// two never share an index: each side owns its own atomic position and
+// keeps a cached copy of the other side's, so the hot path is a
+// store-release on the own index and an occasional load-acquire of the
+// opposite one (the classic Lamport queue with index caching, cf. the
+// SPSC/SPMC queues in lock-free work-distribution libraries).
+// `close()` publishes "no more items": a consumer blocked in
+// wait_pop_n() drains the residue and then observes end-of-stream.
 //
 // The element type must be trivially copyable — slots are raw copies,
 // never constructed or destroyed, so a crossed slot is published by the
@@ -101,38 +102,6 @@ class SpscRing {
 
   // ---- consumer side -----------------------------------------------------
 
-  /// Pointer to the oldest element, or nullptr when the ring is
-  /// currently empty.  The slot stays valid until pop().
-  const T* peek() {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return nullptr;
-    }
-    return &buf_[head & mask_];
-  }
-
-  /// Blocking peek: spin-yield until an element is available or the
-  /// producer closed the stream.  nullptr means closed AND drained —
-  /// the consumer's definitive end-of-stream signal.
-  const T* wait_peek() {
-    for (;;) {
-      if (const T* p = peek()) return p;
-      if (closed_.load(std::memory_order_acquire)) {
-        // Re-check: items pushed between the failed peek and the close
-        // flag must not be dropped.
-        return peek();
-      }
-      std::this_thread::yield();
-    }
-  }
-
-  /// Consume the element last returned by peek()/wait_peek().
-  void pop() {
-    head_.store(head_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_release);
-  }
-
   /// Bulk pop: copy up to `max_n` available items into `out` (two
   /// memcpy segments on wrap-around) and consume them with ONE release
   /// store.  Returns the number popped (0 when currently empty).
@@ -156,12 +125,12 @@ class SpscRing {
 
   /// Blocking bulk pop: spin-yield until at least one item arrives or
   /// the producer closed the stream.  Returns the number popped; 0 means
-  /// closed AND drained (end-of-stream) — items pushed between an empty
-  /// poll and the close flag are never dropped (same re-check as
-  /// wait_peek).
+  /// closed AND drained (end-of-stream).
   std::size_t wait_pop_n(T* out, std::size_t max_n) {
     for (;;) {
       if (const std::size_t n = pop_n(out, max_n)) return n;
+      // Re-check after the close flag: items pushed between the empty
+      // poll and the close must not be dropped.
       if (closed_.load(std::memory_order_acquire)) return pop_n(out, max_n);
       std::this_thread::yield();
     }

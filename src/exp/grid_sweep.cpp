@@ -83,24 +83,16 @@ GridCellResult evaluate_grid_cell(const GridSweepSpec& spec,
   // kernel queue, job store, cluster bookkeeping — bumps a private
   // arena, so parallel cells never contend on the global allocator.
   Arena arena;
-  GridSimResult r;
-  if (spec.grid_threads == 1) {
-    GridSim sim(grid, opts, &arena);
-    sim.submit_workloads(make_grid_workloads(spec, cell));
-    r = sim.run();
-    result.violations = validate_grid_result(sim, r);
-    result.arena_peak_bytes = sim.arena_stats().bytes_peak;
-  } else {
-    // Inner-parallel replay: shard this cell's clusters across
-    // grid_threads workers.  Bit-identical to the serial branch (the
-    // sharding determinism contract), so the axis changes wall-clock
-    // only — tests/test_grid_sweep.cpp compares the reports.
-    ShardGridSim sim(grid, opts, spec.grid_threads, &arena);
-    sim.submit_workloads(make_grid_workloads(spec, cell));
-    r = sim.run();
-    result.violations = validate_grid_result(sim, r);
-    result.arena_peak_bytes = sim.arena_peak_bytes();
-  }
+  // Inner-parallel replay: the cell's clusters sharded across
+  // grid_threads workers.  Bit-identical to GridSim (the sharding
+  // determinism contract), and at one shard it IS GridSim on this
+  // arena, so the axis changes wall-clock only — tests/test_grid_sweep.cpp
+  // compares the reports.
+  ShardGridSim sim(grid, opts, spec.grid_threads, &arena);
+  sim.submit_workloads(make_grid_workloads(spec, cell));
+  const GridSimResult r = sim.run();
+  result.violations = validate_grid_result(sim, r);
+  result.arena_peak_bytes = sim.arena_peak_bytes();
 
   result.horizon = r.horizon;
   result.jobs = r.jobs_completed;

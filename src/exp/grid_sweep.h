@@ -66,10 +66,10 @@ struct GridSweepSpec {
 
   /// Inner per-replay worker threads: each cell runs its grid through
   /// the sharded engine (sim/shard_sim.h) with this many shard workers,
-  /// placed by the engine's LPT partition.  1 (the default) keeps the
-  /// serial GridSim; 0 = hardware concurrency.  Threshold and economic
-  /// cells always replay on one shard (the engine clamps dynamic
-  /// routing to its serial path).  Bit-identical at every value by the
+  /// placed by the engine's LPT partition.  1 (the default) is one
+  /// shard, i.e. GridSim's replay; 0 = hardware concurrency.  Threshold,
+  /// economic and best-effort cells always replay on one shard (the
+  /// engine clamps them).  Bit-identical at every value by the
   /// sharding determinism contract — a sweep axis for scaling studies,
   /// never for results.
   int grid_threads = 1;

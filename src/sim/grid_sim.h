@@ -113,9 +113,9 @@ struct GridPending {
   std::uint32_t index;  ///< row in the active JobStore
 };
 
-/// Same-instant priority of the grid arrival pump, the one event that
-/// routes arrivals in both the batch and the streamed replay (the
-/// sharded engine merges the same key virtually).  -2 fires the pump
+/// Same-instant priority of the grid arrival pump (GridArrivalPump), the
+/// one event that hands arrivals to clusters in every grid replay:
+/// batch, streamed and sharded.  -2 fires the pump
 /// ahead of every other event at its instant: the priority-0
 /// completions and volatility churn and the +1 best-effort bootstrap —
 /// the order the golden digests were captured under.  (OnlineCluster's
@@ -177,9 +177,10 @@ void sort_route_order(const JobStore& jobs,
 /// the pending table, the global plan, the release order and its
 /// cursor — entries before the cursor are routed, the rest are the
 /// unrouted tail — plus the migration count and the per-home counts
-/// the engines pre-size their clusters from at run().  GridSim drives
-/// it from its arrival pump (batch and streamed alike), ShardGridSim
-/// from its coordinator; every table lives in the engine's arena.
+/// the engines pre-size their clusters from at run().  The arrival pump
+/// (GridArrivalPump) routes from it as it fires; a multi-shard
+/// ShardGridSim routes it up front instead.  Every table lives in the
+/// engine's arena.
 class GridArrivals {
  public:
   using Clusters = std::vector<std::unique_ptr<OnlineCluster>>;
@@ -211,9 +212,10 @@ class GridArrivals {
   /// Any arrival left to route?
   bool pending() const { return cursor_ < order_.size(); }
   /// Effective release of the next arrival (pending() only).
-  Time next_release() const {
-    return effective_grid_release(
-        jobs()[pending_[order_[cursor_]].index].release);
+  Time next_release() const { return release(pending_[order_[cursor_]].index); }
+  /// Effective release of store row `row`.
+  Time release(std::uint32_t row) const {
+    return effective_grid_release(jobs()[row].release);
   }
   /// Route the next arrival and advance the cursor: the home cluster
   /// (isolated), the exchange winner (threshold / economic — the bids
@@ -261,6 +263,68 @@ class GridArrivals {
   std::vector<std::size_t> home_counts_;
   long migrations_ = 0;
   bool prepared_ = false;
+};
+
+/// One arrival routed before the clock starts: the target cluster index
+/// and the job's store row.
+struct GridRoute {
+  std::uint32_t cluster;
+  std::uint32_t row;
+};
+
+/// The arrival pump of both grid engines: ONE pending simulator event at
+/// kGridArrivalPriority hands every arrival due at its instant to its
+/// cluster, in release order, then re-arms at the next one — the event
+/// queue never holds more than one arrival event.  By default it routes
+/// as it fires, from the front-end's unrouted tail (GridSim, batch and
+/// streamed; a one-shard ShardGridSim).  After feed() it delivers a
+/// list routed before the clock started instead (each shard of a
+/// multi-shard ShardGridSim).
+class GridArrivalPump {
+ public:
+  GridArrivalPump(Simulator& sim, GridArrivals& arrivals,
+                  const GridArrivals::Clusters& clusters,
+                  const GridSimOptions& opts)
+      : sim_(sim), arrivals_(arrivals), clusters_(clusters), opts_(opts) {}
+  GridArrivalPump(const GridArrivalPump&) = delete;
+  GridArrivalPump& operator=(const GridArrivalPump&) = delete;
+
+  /// Deliver the routed arrivals [first, last) (release order) instead
+  /// of routing from the front-end.  The list outlives the replay.
+  void feed(const GridRoute* first, const GridRoute* last) {
+    next_ = first;
+    last_ = last;
+    routed_ = true;
+  }
+  /// Any arrival left to deliver?
+  bool pending() const { return routed_ ? next_ != last_ : arrivals_.pending(); }
+  /// Schedule the pump at the next arrival, clamped to now (a streamed
+  /// row released in the past routes at once); no-op when none is left.
+  void arm();
+  /// A streamed row due at `due` joined the tail: arm the pump, or move
+  /// it earlier when the row is due before it.
+  void admit(Time due);
+  /// The (id, time) of the last pump event, in flight exactly while
+  /// pending() (stale otherwise; ids are never reused).
+  EventId event() const { return event_; }
+  Time time() const { return time_; }
+  /// Checkpoint restore: adopt the snapshot's pump key and, while
+  /// arrivals are pending, re-create the event under its original id.
+  void restore(Time t, EventId id);
+
+ private:
+  void fire();
+
+  Simulator& sim_;
+  GridArrivals& arrivals_;
+  const GridArrivals::Clusters& clusters_;
+  const GridSimOptions& opts_;
+  const GridRoute* next_ = nullptr;  ///< fed mode: next routed arrival
+  const GridRoute* last_ = nullptr;
+  bool routed_ = false;
+  bool armed_ = false;
+  EventId event_ = 0;
+  Time time_ = 0.0;
 };
 
 /// Aggregate the outcome of a finished replay from the drained clusters
@@ -392,13 +456,6 @@ class GridSim {
   /// Digest of everything that must match between the snapshotting and
   /// the restoring engine: grid shape and options.
   std::uint64_t config_digest() const;
-  /// Arrival pump: ONE pending simulator event routes every arrival due
-  /// at its instant, in release order, then re-arms at the next one —
-  /// the event queue never holds more than one arrival event, batch or
-  /// streamed.  Fires at kGridArrivalPriority.
-  void pump_arrivals();
-  /// Arm the pump at the next arrival (clamped to now), if any.
-  void schedule_next_arrival();
 
   LightGrid grid_;
   GridSimOptions opts_;
@@ -408,12 +465,9 @@ class GridSim {
   std::vector<std::unique_ptr<OnlineCluster>> clusters_;
   std::unique_ptr<CentralServer> server_;
   GridArrivals arrivals_;
+  GridArrivalPump pump_{sim_, arrivals_, clusters_, opts_};
   bool ran_ = false;
   bool streaming_ = false;
-  /// The (time, id) of the pump event, in flight exactly while
-  /// arrivals_.pending() (stale otherwise; ids are never reused).
-  EventId pump_event_ = 0;
-  Time pump_time_ = 0.0;
   /// Every scheduled volatility event; checkpoint keeps the still-
   /// pending subset.
   std::vector<GridCapacityEvent> capacity_events_;

@@ -501,7 +501,7 @@ void OnlineCluster::restore_checkpoint(CheckpointReader& r) {
   const std::uint64_t n_submitted = r.count(kHotJobCheckpointBytes);
   submitted_.reserve(n_submitted);
   for (std::uint64_t i = 0; i < n_submitted; ++i)
-    submitted_.push_back(load_hot_job(r));
+    submitted_.push_back(load_hot_job(r, pool_));
 
   records_.clear();
   const std::uint64_t n_records = r.count(44);

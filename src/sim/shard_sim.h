@@ -1,8 +1,8 @@
 // Sharded multi-cluster replay: the clusters of ONE grid partitioned
-// across worker threads, each advancing its shard's PRIVATE event queue
-// (sim/simulator.h) out of a PRIVATE arena — with the hard requirement
-// that the outcome is bit-identical to the serial GridSim, pinned by
-// the FNV-1a golden digests of tests/test_shard_sim.cpp.
+// across worker threads, each shard advancing a PRIVATE event queue
+// (sim/simulator.h) — with the hard requirement that the outcome is
+// bit-identical to the serial GridSim, pinned by the FNV-1a golden
+// digests of tests/test_shard_sim.cpp.
 //
 // Why clusters shard at all: jobs cross cluster boundaries only at
 // their release instants (routing / exchange bids) and through the
@@ -10,51 +10,30 @@
 // dispatch, backfilling, completions, volatility churn — is
 // cluster-private, so the per-cluster event subsequences of the serial
 // replay commute freely across clusters and can run concurrently.
-// Two parallel strategies follow (the determinism contract, also in
-// docs/ARCHITECTURE.md):
 //
-//  * STATIC STREAMING (isolated / global-plan routing, no best-effort
-//    bags): every target is computable before the clock starts (the
-//    global plan is an upfront prelude; width fallback reads only
-//    static processors()).  The coordinator thread streams arrivals in
-//    global release order through one lock-free SPSC mailbox per shard
-//    (core/spsc_ring.h), batched per push_n/pop_n to amortize the
-//    atomic traffic; each worker alternates
-//    `run_until(next_arrival, kGridArrivalPriority)` with submissions.
-//    No barriers at all — wall-clock scales with the slowest shard.
+// One strategy (the determinism contract, also in docs/ARCHITECTURE.md):
+// under isolated or global-plan routing with no best-effort bags, every
+// target is computable before the clock starts (the global plan is an
+// upfront prelude; the width fallback reads only static processors()).
+// run() routes each arrival the horizon admits once, up front, into
+// its shard's list, arms every shard's simulator with GridSim's own
+// arrival pump (GridArrivalPump) fed from that list, and drains the
+// shards concurrently — shard 0 on the calling thread — with no
+// barrier and no cross-thread traffic.  Each shard replays the serial
+// event subsequence of its clusters: submissions reach each cluster in
+// the serial order at the serial instants, and the per-shard pump
+// keeps the serial tie-break because its priority (-2) is unique at
+// its instant — no completion, churn or bootstrap event shares it — so
+// its event id never breaks a tie, and the ids it draws shift later
+// events of its shard without reordering them.
 //
-//  * COUPLED LOCKSTEP (static routing with a central best-effort
-//    server): every dispatch on every cluster may consume from the
-//    shared grant FIFO — an ordering coupling that depends on the full
-//    serial interleaving of dispatches across clusters.  All shard
-//    simulators draw insertion ids from ONE shared counter
-//    (Simulator::share_ids), and the coordinator executes events one
-//    at a time in merged (time, priority, id) order across the shard
-//    queues — by induction this reproduces the serial engine's id
-//    assignment and execution order exactly, so every FIFO operation
-//    happens in serial order.  The serial arrival pump is mirrored as
-//    a *virtual* event keyed (next release, kGridArrivalPriority): it
-//    never enters a shard queue and draws no id — no shard event shares
-//    its priority, so its id could never break a tie.  Once
-//    the campaign completes (`completed() == total_runs()`) the FIFO
-//    is provably silent forever — no run is pending or running
-//    anywhere, so no future dispatch can pop, kill or complete a grant
-//    — and the engine hands the remaining replay to static streaming,
-//    resumed from the current arrival cursor.  In the tail, concurrent
-//    id draws stay per-shard monotone, which is all the tie-break
-//    needs.
-//
-// DYNAMIC routing (threshold / economic) runs on one shard: exchange
-// bids read every cluster's expected_wait at each arrival instant, so
-// all shards would have to stop at every arrival.  Measured, those
-// barriers made the replay 5-8x slower than serial, so the constructor
-// clamps the shard count to 1 and the serial path replays it inline.
-//
-// In every strategy the serial tie-break (time, priority, insertion
-// id) is replayed exactly: per-cluster event streams keep their serial
-// relative order because submissions reach each cluster in the serial
-// arrival order, and cross-cluster same-instant ties commute because
-// no shared state is touched between synchronization points.
+// Everything else runs on one shard, which IS GridSim's replay (same
+// pump events, same ids): threshold / economic routing, whose bids read
+// every cluster's expected_wait at every arrival instant (measured, a
+// barrier per arrival made the replay 5-8x slower than serial), and
+// best-effort bags, whose grant FIFO depends on the serial interleaving
+// of dispatches across clusters (measured, a coupled lockstep over the
+// shards never beat one shard at 2 or 4 workers; see ARCHITECTURE.md).
 //
 // Cluster -> shard placement is a deterministic LPT partition: clusters
 // sorted by descending cost — `processors x (1 + home-trace job
@@ -66,7 +45,6 @@
 // tests that vary the thread count, and with it the partition.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -91,10 +69,11 @@ namespace lgs {
 ///
 /// `threads` requests the worker count: 0 = hardware_concurrency,
 /// clamped to [1, cluster_count()], and to 1 under threshold / economic
-/// routing.  Memory follows GridSim's replay-arena discipline, but per
-/// shard: the coordinator arena holds the arrival front-end (store and
-/// routing tables), and each shard owns a private arena for its
-/// simulator and clusters, so allocation needs no cross-thread
+/// routing or best-effort bags.  Memory follows GridSim's replay-arena
+/// discipline, but per shard: the engine arena holds the arrival
+/// front-end and shard 0 (so one shard is GridSim on the same arena),
+/// and every other shard owns a private arena for its simulator,
+/// clusters and routed arrivals, so allocation needs no cross-thread
 /// contention.
 ///
 /// Cluster -> shard placement is decided lazily (first access of
@@ -121,7 +100,8 @@ class ShardGridSim {
 
   /// Route every submission, drive all shard queues until they drain
   /// (or `horizon`), and aggregate the outcome.  Callable once; worker
-  /// threads live only inside this call.
+  /// threads live only inside this call, and a worker's exception is
+  /// rethrown after every worker joined.
   GridSimResult run(Time horizon = kTimeInfinity);
 
   std::size_t cluster_count() const { return grid_.clusters.size(); }
@@ -145,7 +125,7 @@ class ShardGridSim {
   }
   /// Events executed across all shard simulators.
   std::uint64_t events_executed() const;
-  /// Peak arena bytes: coordinator arena plus every shard arena.
+  /// Peak arena bytes: the engine arena plus every private shard arena.
   std::size_t arena_peak_bytes() const;
 
  private:
@@ -156,25 +136,21 @@ class ShardGridSim {
   void ensure_materialized() const;
   /// Cluster -> shard map: LPT over the cost model.
   std::vector<std::uint32_t> compute_placement() const;
-  void run_single(Time horizon);
-  void run_coupled(Time horizon);
-  void run_static(Time horizon);
-  void worker_static(std::size_t s, Time horizon);
+  /// Route every arrival released at or before `horizon` into its
+  /// shard's list and feed each shard's pump from it (multi-shard).
+  void route_ahead(Time horizon);
 
   LightGrid grid_;
   GridSimOptions opts_;
   Arena owned_arena_;  ///< unused (empty) when an external arena is given
-  Arena& arena_;       ///< coordinator arena (the arrival front-end)
+  Arena& arena_;       ///< engine arena (arrival front-end and shard 0)
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Lazily materialized (mutable: const accessors may trigger it).
   mutable std::vector<std::uint32_t> shard_of_;  ///< cluster -> shard
   mutable std::vector<std::unique_ptr<OnlineCluster>> clusters_;
   mutable std::unique_ptr<CentralServer> server_;
   mutable bool materialized_ = false;
-  /// Shared insertion-id counter of the coupled strategy (serial id 1
-  /// is the first bootstrap dispatch, as in GridSim).
-  mutable std::atomic<EventId> id_counter_{1};
-  /// Submissions and the arrival cursor (strategies resume from it).
+  /// Submissions and the arrival cursor.
   GridArrivals arrivals_;
   bool ran_ = false;
 };

@@ -124,42 +124,6 @@ void Simulator::step() {
   release_slot(top.slot);
 }
 
-bool Simulator::peek_next(Time* t, int* priority, EventId* id) {
-  // Same cancelled-entry disposal as step(), but stop before executing:
-  // the head reported here is exactly the event a subsequent step_one()
-  // will run.
-  while (!queue_.empty()) {
-    const QEntry top = queue_.top();
-    if (cancelled_.count(top.id) > 0) {
-      queue_.pop();
-      if (top.id == watermark_) ++watermark_;
-      cancelled_.erase(top.id);
-      release_slot(top.slot);
-      LGS_PROF_COUNT("sim.cancelled_skips", 1);
-      continue;
-    }
-    if (t) *t = top.t;
-    if (priority) *priority = top.priority;
-    if (id) *id = top.id;
-    return true;
-  }
-  note_if_drained();
-  return false;
-}
-
-bool Simulator::step_one() {
-  while (!queue_.empty()) {
-    const std::uint64_t before = executed_;
-    step();
-    if (executed_ != before) {
-      note_if_drained();
-      return true;
-    }
-  }
-  note_if_drained();
-  return false;
-}
-
 void Simulator::note_if_drained() {
   // A drained queue means every surviving cancellation targets an event
   // that already fired (or never existed): flush them — and every id so

@@ -25,7 +25,6 @@
 // before.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -98,10 +97,7 @@ class Simulator {
       throw;
     }
     slot.ops = &OpsFor<Fn, kInline>::value;
-    const EventId id = shared_ids_
-                           ? shared_ids_->fetch_add(1, std::memory_order_relaxed)
-                           : next_id_++;
-    if (shared_ids_ && id >= next_id_) next_id_ = id + 1;
+    const EventId id = next_id_++;
     try {
       queue_.push(QEntry{t, id, slot_index, priority});
     } catch (...) {
@@ -129,30 +125,6 @@ class Simulator {
     cancelled_.insert(id);
     if (cancelled_.size() >= next_prune_) prune_cancellations();
   }
-
-  /// Draw insertion ids from a shared atomic counter instead of the
-  /// private sequence.  This is how the coupled sharded engine
-  /// (sim/shard_sim.h) reproduces the serial engine's global id
-  /// assignment across several per-shard kernels: while the coordinator
-  /// executes events one at a time in merged (time, priority, id) order,
-  /// every at() call allocates the exact id the serial replay would have
-  /// used.  The counter must be monotone and >= every id this kernel has
-  /// handed out (enable it before the first at()).  Pass nullptr to
-  /// return to the private sequence.  The kernel keeps a local upper
-  /// bound mirror so cancel()'s never-issued-id guard stays exact.
-  void share_ids(std::atomic<EventId>* counter) { shared_ids_ = counter; }
-
-  /// Peek the next live event without executing it: prunes cancelled
-  /// entries off the queue head, then reports the (time, priority, id)
-  /// key of the true head.  Returns false when nothing live is pending.
-  /// This is the merge key the coupled sharded engine compares across
-  /// shards to pick the globally next event.
-  bool peek_next(Time* t, int* priority, EventId* id);
-
-  /// Execute exactly one live event (skipping cancelled entries), or
-  /// return false if the queue holds none.  Does not advance now_ past
-  /// the executed event's time.
-  bool step_one();
 
   /// Run until the queue drains (or `horizon` is reached, if finite).
   void run(Time horizon = kTimeInfinity);
@@ -251,17 +223,13 @@ class Simulator {
       throw std::invalid_argument("restore_event in the past");
     const EventId keep_next = next_id_;
     next_id_ = id;  // let at() assign exactly `id`
-    std::atomic<EventId>* shared = shared_ids_;
-    shared_ids_ = nullptr;
     try {
       at(t, std::forward<F>(cb), priority);
     } catch (...) {
       next_id_ = keep_next;
-      shared_ids_ = shared;
       throw;
     }
     next_id_ = keep_next;
-    shared_ids_ = shared;
     watermark_ = std::min(watermark_, id);
   }
 
@@ -270,11 +238,11 @@ class Simulator {
   /// before_priority): all events at earlier times, plus events at `t`
   /// whose priority is < before_priority.  Events at (t, >=
   /// before_priority) stay pending, and now() == t afterwards even if
-  /// nothing fired.  This is the quiescence primitive of the sharded
-  /// grid engine (sim/shard_sim.h): each shard's clock is pinned to a
-  /// global synchronization instant before cross-shard state is read,
-  /// replaying exactly the serial pump's position in the tie-break
-  /// order (time, priority, insertion id).
+  /// nothing fired.  This is the quiescence primitive of GridSim's
+  /// partial runs: run_to() stops between instants (INT_MIN) for a
+  /// checkpoint, and the streaming advance_to() stops just ahead of the
+  /// arrival pump's position in the tie-break order (time, priority,
+  /// insertion id), so rows ingested later still route at that instant.
   void run_until(Time t, int before_priority);
 
   /// Number of events executed so far (for the micro bench).
@@ -379,7 +347,6 @@ class Simulator {
 
   ArenaRef ref_;
   Time now_ = 0.0;
-  std::atomic<EventId>* shared_ids_ = nullptr;
   EventId next_id_ = 1;
   EventId watermark_ = 1;  ///< every id below this has been consumed
   std::size_t next_prune_ = kMinPrune;

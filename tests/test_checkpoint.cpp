@@ -3,11 +3,13 @@
 // run — the same pinned golden digests of tests/test_replay_golden.cpp,
 // across all four routing modes, volatility churn and the best-effort
 // layer.  Plus the rejections: truncation, corruption, version skew,
-// config mismatch, and element counts the blob cannot back.
+// config mismatch, element counts the blob cannot back, event keys no
+// live run could leave pending, and table refs outside the pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -108,18 +110,24 @@ TEST(Checkpoint, RejectsCorruptedSnapshot) {
   EXPECT_THROW(reader.restore(blob), CheckpointError);
 }
 
-/// Overwrite the u64 at byte `offset` of a snapshot and re-seal the
-/// FNV-1a trailer, so the mutation passes the checksum and reaches the
-/// engine parsers — what a crafted or bit-rotted blob can do.
-void patch_u64(std::vector<unsigned char>& blob, std::size_t offset,
-               std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
+/// Overwrite the `bytes`-wide little-endian field at byte `offset` of a
+/// snapshot and re-seal the FNV-1a trailer, so the mutation passes the
+/// checksum and reaches the engine parsers — what a crafted or
+/// bit-rotted blob can do.
+void patch_field(std::vector<unsigned char>& blob, std::size_t offset,
+                 std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
     blob[offset + i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
   const std::size_t body = blob.size() - 8;
   const std::uint64_t sum =
       checkpoint_fnv1a(kCheckpointFnvBasis, blob.data(), body);
   for (int i = 0; i < 8; ++i)
     blob[body + i] = static_cast<unsigned char>((sum >> (8 * i)) & 0xff);
+}
+
+void patch_u64(std::vector<unsigned char>& blob, std::size_t offset,
+               std::uint64_t v) {
+  patch_field(blob, offset, v, 8);
 }
 
 /// Byte offset of the next unread field of `r` inside `blob`.
@@ -186,6 +194,115 @@ TEST(Checkpoint, RejectsHugeArrivalCounts) {
           << "count at byte " << at << " = " << huge;
     }
   }
+}
+
+TEST(Checkpoint, RejectsPumpTimeInThePast) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenScenario sc = golden_scenarios()[0];
+  GridSim writer = make_engine(sc);
+  submit_golden(writer);
+  writer.run_to(7.25);
+  std::vector<unsigned char> blob = writer.checkpoint();
+  // Walk the arrival section (store, pending table, plan, unrouted tail,
+  // migrations) to the pump's (id, time).
+  CheckpointReader r(blob);
+  skip_gridsim_header(r);
+  JobStore scratch;
+  load_job_store(r, scratch);
+  for (std::uint64_t n = r.u64(); n > 0; --n) r.u64();
+  for (std::uint64_t n = r.u64(); n > 0; --n) r.u32();
+  std::uint64_t tail = r.u64();
+  ASSERT_GT(tail, 0u);  // the pump is in flight at t = 7.25
+  for (; tail > 0; --tail) r.u32();
+  r.i64();
+  r.u64();
+  const double past = -1.0;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &past, sizeof bits);
+  patch_u64(blob, offset_of(r, blob), bits);
+  GridSim reader = make_engine(sc);
+  EXPECT_THROW(reader.restore(blob), CheckpointError);
+}
+
+/// A snapshot whose job store holds one tabulated job (time table in
+/// the pool), taken mid-run.
+std::vector<unsigned char> table_job_snapshot(const GoldenScenario& sc) {
+  GridSim writer = make_engine(sc);
+  submit_golden(writer);
+  writer.submit(0, Job::moldable(9001, ExecModel::table({4.0, 2.5, 2.0}), 1,
+                                 3, /*release=*/1.0));
+  writer.run_to(0.75);
+  return writer.checkpoint();
+}
+
+TEST(Checkpoint, RejectsTableDescriptorOutsidePool) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenScenario sc = golden_scenarios()[0];
+  std::vector<unsigned char> blob = table_job_snapshot(sc);
+  // The job store's pool: time count, times, descriptor count, then
+  // (offset, length) per table.
+  CheckpointReader r(blob);
+  skip_gridsim_header(r);
+  for (std::uint64_t n = r.u64(); n > 0; --n) r.f64();
+  ASSERT_GE(r.u64(), 1u);
+  const std::size_t at = offset_of(r, blob);
+  for (const std::uint64_t desc :
+       {std::uint64_t{1000} << 32, (std::uint64_t{1} << 32) | 0xfffffff0u,
+        std::uint64_t{0}}) {
+    std::vector<unsigned char> bad = blob;
+    patch_u64(bad, at, desc);
+    GridSim reader = make_engine(sc);
+    EXPECT_THROW(reader.restore(bad), CheckpointError)
+        << "descriptor (off, len) = " << (desc & 0xffffffffu) << ", "
+        << (desc >> 32);
+  }
+}
+
+/// Byte offset of the tabulated job's `exec_c` in `blob`'s job store
+/// (its exec kind byte follows it); `*tables` receives the pool's table
+/// count.
+std::size_t table_row_offset(const std::vector<unsigned char>& blob,
+                             std::uint64_t* tables) {
+  CheckpointReader r(blob);
+  skip_gridsim_header(r);
+  for (std::uint64_t n = r.u64(); n > 0; --n) r.f64();
+  *tables = r.u64();
+  for (std::uint64_t n = *tables; n > 0; --n) r.u64();
+  // Rows: five f64, four 32-bit fields, exec_c, exec kind, job kind.
+  std::size_t table_ref = 0;
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    for (int i = 0; i < 5; ++i) r.f64();
+    for (int i = 0; i < 4; ++i) r.u32();
+    const std::size_t at = offset_of(r, blob);
+    r.u32();
+    if (r.u8() == static_cast<std::uint8_t>(ExecKind::kTable)) table_ref = at;
+    r.u8();
+  }
+  return table_ref;
+}
+
+TEST(Checkpoint, RejectsTableRefOutsidePool) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenScenario sc = golden_scenarios()[0];
+  std::vector<unsigned char> blob = table_job_snapshot(sc);
+  std::uint64_t tables = 0;
+  const std::size_t at = table_row_offset(blob, &tables);
+  ASSERT_NE(at, 0u);
+  patch_field(blob, at, tables, 4);
+  GridSim reader = make_engine(sc);
+  EXPECT_THROW(reader.restore(blob), CheckpointError);
+}
+
+TEST(Checkpoint, RejectsUnknownExecKind) {
+  if (!rng_matches_reference_library()) GTEST_SKIP();
+  const GoldenScenario sc = golden_scenarios()[0];
+  std::vector<unsigned char> blob = table_job_snapshot(sc);
+  std::uint64_t tables = 0;
+  const std::size_t at = table_row_offset(blob, &tables);
+  ASSERT_NE(at, 0u);
+  patch_field(blob, at + 4, 200, 1);
+  GridSim reader = make_engine(sc);
+  EXPECT_THROW(reader.restore(blob), CheckpointError);
 }
 
 TEST(CheckpointFraming, CountBeyondPayloadRejected) {

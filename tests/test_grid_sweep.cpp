@@ -217,9 +217,9 @@ TEST(GridSweep, ReportJsonIsDeterministicAcrossThreadCounts) {
 
 // The inner grid_threads axis (sim/shard_sim.h): every cell replayed
 // through the sharded engine must reproduce the serial cells bit for
-// bit at every worker count.  Bags are dropped here so static cells take
-// the barrier-free streaming strategy (dynamic cells replay on one
-// shard); the coupled central-server strategy is covered below.
+// bit at every worker count.  Bags are dropped here so static cells run
+// on several shards (dynamic cells replay on one shard); cells with
+// the central server are covered below.
 TEST(GridSweep, InnerGridThreadsAxisIsBitIdentical) {
   GridSweepSpec spec = small_spec();
   spec.besteffort_runs = 0;
@@ -237,9 +237,9 @@ TEST(GridSweep, InnerGridThreadsAxisIsBitIdentical) {
 }
 
 // With the central best-effort server on (small_spec's default), the
-// sharded engine runs the coupled-lockstep strategy on N shards — and
-// must STILL byte-match the serial report once the timing/thread lines
-// are stripped.
+// sharded engine clamps every cell to one shard — and must STILL
+// byte-match the serial report once the timing/thread lines are
+// stripped.
 TEST(GridSweep, GridThreadsReportMatchesSerialReportWithBags) {
   GridSweepSpec spec = small_spec();
   spec.threads = 1;

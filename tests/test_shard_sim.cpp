@@ -10,169 +10,22 @@
 //    kill policies, volatility, bags, seeds, thread counts — and with
 //    them the LPT partition) compares the drained engines field by
 //    field — every record, every stats block, bitwise on doubles;
-//  * an explicit central-server matrix (kill policy × ≥2 shards) pins
-//    the coupled-lockstep strategy against serial digests, and the
-//    placement tests pin that the LPT partition is deterministic,
+//  * the placement tests pin that the LPT partition is deterministic,
 //    balanced, and outcome-neutral;
-//  * dynamic routing (threshold / economic) always replays on one
-//    shard, and a job wider than every cluster throws
-//    std::invalid_argument at every thread count.
-// Plus unit tests for the SPSC mailbox the static strategies stream
-// arrivals through (core/spsc_ring.h), including the push_n/pop_n bulk
-// operations the streaming path batches with.
+//  * dynamic routing (threshold / economic) and best-effort bags always
+//    replay on one shard, which is GridSim's replay event for event
+//    (an explicit central-server kill-policy matrix pins the digests);
+//  * a job wider than every cluster throws std::invalid_argument at
+//    every thread count, unless it is released after the horizon.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
-#include "core/spsc_ring.h"
 #include "grid_golden_scenarios.h"
 
 namespace lgs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SPSC mailbox
-// ---------------------------------------------------------------------------
-
-TEST(SpscRing, FifoOrderAndWraparound) {
-  SpscRing<int> ring(4);  // rounds to 4: wraps many times below
-  int next_out = 0, queued = 0;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    ++queued;
-    // Drain to a varying target occupancy (0..3) so the indices wrap at
-    // every phase offset.
-    while (queued > i % 4) {
-      const int* p = ring.peek();
-      ASSERT_NE(p, nullptr);
-      EXPECT_EQ(*p, next_out++);
-      ring.pop();
-      --queued;
-    }
-  }
-  while (const int* p = ring.peek()) {
-    EXPECT_EQ(*p, next_out++);
-    ring.pop();
-  }
-  EXPECT_EQ(next_out, 1000);
-}
-
-TEST(SpscRing, TryPushFailsOnlyWhenFull) {
-  SpscRing<int> ring(2);
-  EXPECT_TRUE(ring.try_push(1));
-  EXPECT_TRUE(ring.try_push(2));
-  EXPECT_FALSE(ring.try_push(3));
-  ring.peek();
-  ring.pop();
-  EXPECT_TRUE(ring.try_push(3));
-}
-
-TEST(SpscRing, WaitPeekDrainsResidueAfterClose) {
-  SpscRing<int> ring(8);
-  ring.push(7);
-  ring.push(8);
-  ring.close();
-  const int* p = ring.wait_peek();
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(*p, 7);
-  ring.pop();
-  p = ring.wait_peek();
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(*p, 8);
-  ring.pop();
-  EXPECT_EQ(ring.wait_peek(), nullptr);  // closed AND drained
-}
-
-TEST(SpscRing, BulkPushPopWraparound) {
-  SpscRing<int> ring(8);
-  int in = 0, out = 0;
-  int ibuf[5], obuf[8];
-  // Varying batch sizes shift the ring offset every iteration, so the
-  // two-segment memcpy split is exercised at every phase.
-  for (int iter = 0; iter < 500; ++iter) {
-    const std::size_t n = 1 + static_cast<std::size_t>(iter % 5);
-    for (std::size_t i = 0; i < n; ++i) ibuf[i] = in++;
-    ASSERT_EQ(ring.try_push_n(ibuf, n), n);
-    ASSERT_EQ(ring.pop_n(obuf, 8), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(obuf[i], out++);
-  }
-  EXPECT_EQ(out, in);
-  EXPECT_EQ(ring.pop_n(obuf, 8), 0u);
-}
-
-TEST(SpscRing, TryPushNPartialWhenNearlyFull) {
-  SpscRing<int> ring(4);
-  int buf[6] = {0, 1, 2, 3, 4, 5};
-  EXPECT_EQ(ring.try_push_n(buf, 6), 4u);  // partial: only 4 slots free
-  EXPECT_EQ(ring.try_push_n(buf, 1), 0u);  // full
-  int obuf[4];
-  ASSERT_EQ(ring.pop_n(obuf, 4), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(obuf[i], i);
-}
-
-TEST(SpscRing, WaitPopNDrainsResidueAfterClose) {
-  SpscRing<int> ring(8);
-  const int items[3] = {7, 8, 9};
-  ring.push_n(items, 3);
-  ring.close();  // close mid-batch: the residue must still drain
-  int obuf[2];
-  ASSERT_EQ(ring.wait_pop_n(obuf, 2), 2u);
-  EXPECT_EQ(obuf[0], 7);
-  EXPECT_EQ(obuf[1], 8);
-  ASSERT_EQ(ring.wait_pop_n(obuf, 2), 1u);
-  EXPECT_EQ(obuf[0], 9);
-  EXPECT_EQ(ring.wait_pop_n(obuf, 2), 0u);  // closed AND drained
-}
-
-TEST(SpscRing, CrossThreadBulkStreamKeepsOrder) {
-  constexpr int kItems = 60000;
-  SpscRing<int> ring(64);
-  std::thread producer([&ring] {
-    int next = 0;
-    int batch[17];
-    while (next < kItems) {
-      std::size_t n = 1 + static_cast<std::size_t>(next % 17);
-      if (next + static_cast<int>(n) > kItems)
-        n = static_cast<std::size_t>(kItems - next);
-      for (std::size_t i = 0; i < n; ++i) batch[i] = next++;
-      ring.push_n(batch, n);
-    }
-    ring.close();
-  });
-  int expected = 0;
-  bool ordered = true;
-  int buf[16];
-  while (const std::size_t n = ring.wait_pop_n(buf, 16)) {
-    for (std::size_t i = 0; i < n; ++i)
-      ordered = ordered && (buf[i] == expected++);
-  }
-  producer.join();
-  EXPECT_TRUE(ordered);
-  EXPECT_EQ(expected, kItems);
-}
-
-TEST(SpscRing, CrossThreadStreamKeepsOrder) {
-  constexpr int kItems = 50000;
-  SpscRing<int> ring(64);
-  std::thread producer([&ring] {
-    for (int i = 0; i < kItems; ++i) ring.push(i);
-    ring.close();
-  });
-  long long sum = 0;
-  int expected = 0;
-  bool ordered = true;
-  while (const int* p = ring.wait_peek()) {
-    ordered = ordered && (*p == expected++);
-    sum += *p;
-    ring.pop();
-  }
-  producer.join();
-  EXPECT_TRUE(ordered);
-  EXPECT_EQ(expected, kItems);
-  EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
-}
 
 // ---------------------------------------------------------------------------
 // Golden scenarios, sharded
@@ -216,22 +69,57 @@ TEST(ShardSim, ShardedEqualsSerialOnAnyLibrary) {
   }
 }
 
-TEST(ShardSim, CentralServerRunsOnMultipleShards) {
-  // PR 8 forced one shard whenever best-effort bags were configured;
-  // the coupled-lockstep strategy lifted that — the grant FIFO now
-  // replays serially on N shards.
-  GridSimOptions opts = golden_options(golden_scenarios().front());
-  ASSERT_FALSE(opts.bags.empty());
-  ShardGridSim sim(make_skewed_grid(4, 24, 2.0), opts, /*threads=*/4);
-  EXPECT_EQ(sim.shard_count(), 4)
-      << "bags must no longer force single-shard execution";
+// The central server's grant FIFO follows the serial interleaving of
+// dispatches across clusters, so bags replay on the one-shard path at
+// any requested thread count — and still reproduce the pinned digests.
+TEST(ShardSim, CentralServerRunsSerially) {
+  const std::vector<GoldenScenario> scenarios = golden_scenarios();
+  const std::vector<GoldenDigest> expected = golden_digests();
+  const bool pinned = rng_matches_reference_library();
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const GoldenScenario& sc = scenarios[i];
+    if (golden_options(sc).bags.empty()) continue;
+    const std::uint64_t want =
+        pinned ? expected[i].digest : run_golden_scenario(sc);
+    for (const int threads : golden_thread_counts()) {
+      if (threads < 2) continue;
+      SCOPED_TRACE(sc.name + " @ " + std::to_string(threads) + " threads");
+      ShardGridSim sim(make_skewed_grid(4, 24, 2.0), golden_options(sc),
+                       threads);
+      EXPECT_EQ(sim.shard_count(), 1);
+      sim.submit_workloads(split_by_community(golden_workload(), 4));
+      const GridSimResult res = sim.run();
+      EXPECT_EQ(digest_grid_result(sim, res), want);
+    }
+  }
+}
+
+// One shard is GridSim's replay event for event: the same arrival-pump
+// firings, so the same executed-event count, with bags and with
+// threads=1 alike — and the same allocations on the same arena.
+TEST(ShardSim, OneShardExecutesGridSimEvents) {
+  for (const GoldenScenario& sc : golden_scenarios()) {
+    Arena serial_arena;
+    GridSim serial(make_skewed_grid(4, 24, 2.0), golden_options(sc),
+                   &serial_arena);
+    serial.submit_workloads(split_by_community(golden_workload(), 4));
+    (void)serial.run();
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(sc.name + " @ " + std::to_string(threads) + " threads");
+      Arena arena;
+      ShardGridSim sharded(make_skewed_grid(4, 24, 2.0), golden_options(sc),
+                           threads, &arena);
+      if (threads > 1 && sharded.shard_count() > 1) continue;
+      sharded.submit_workloads(split_by_community(golden_workload(), 4));
+      (void)sharded.run();
+      EXPECT_EQ(sharded.events_executed(), serial.simulator().executed());
+      EXPECT_EQ(sharded.arena_peak_bytes(), serial_arena.stats().bytes_peak);
+    }
+  }
 }
 
 // Explicit central-server matrix: every kill policy must reproduce the
-// serial digest on both bag scenarios.  The isolated one runs the
-// coupled-lockstep strategy on ≥2 shards and streams into the static
-// tail after campaign completion; the threshold one is clamped to the
-// serial one-shard path.
+// serial digest on both bag scenarios, which clamp to one shard.
 TEST(ShardSim, CentralServerKillPolicyMatrixMatchesSerial) {
   static const OnlineCluster::KillPolicy kKills[] = {
       OnlineCluster::KillPolicy::kYoungestFirst,
@@ -254,9 +142,7 @@ TEST(ShardSim, CentralServerKillPolicyMatrixMatchesSerial) {
         ShardGridSim sharded(make_skewed_grid(4, 24, 2.0), opts, threads);
         sharded.submit_workloads(split_by_community(golden_workload(), 4));
         const GridSimResult res = sharded.run();
-        if (sc.routing == GridRouting::kIsolated) {
-          EXPECT_GE(sharded.shard_count(), 2);
-        }
+        EXPECT_EQ(sharded.shard_count(), 1);
         EXPECT_EQ(digest_grid_result(sharded, res), want);
       }
     }
@@ -328,10 +214,11 @@ TEST(ShardPlacementTest, PlacementChoiceNeverChangesReplayDigests) {
         owner.push_back(sim.shard_of(c));
       partitions.push_back(owner);
     }
-    // Static routings really ran three distinct partitions (dynamic
-    // ones run on one shard, where every cluster sits on shard 0).
-    if (sc.routing == GridRouting::kIsolated ||
-        sc.routing == GridRouting::kGlobalPlan) {
+    // Static routings without bags really ran three distinct partitions
+    // (the others run on one shard, where every cluster sits on shard 0).
+    if ((sc.routing == GridRouting::kIsolated ||
+         sc.routing == GridRouting::kGlobalPlan) &&
+        golden_options(sc).bags.empty()) {
       EXPECT_NE(partitions[0], partitions[1]);
       EXPECT_NE(partitions[1], partitions[2]);
       EXPECT_NE(partitions[0], partitions[2]);
@@ -372,12 +259,10 @@ TEST(ShardSim, DynamicRoutingRunsSerially) {
   }
 }
 
-// A job wider than every cluster makes the routing rule throw.  On ≥2
-// shards that throw leaves the coordinator while worker threads are
-// live; the engine must join them and surface the same
-// std::invalid_argument as the serial engine — never std::terminate.
-// Covered on the bag-free static stream and on the static tail the
-// coupled strategy hands off to once the campaign has completed.
+// A job wider than every cluster makes the routing rule throw: up front
+// on ≥2 shards, inside the pump on one shard (bags clamp to one).  Both
+// must surface the same std::invalid_argument as the serial engine —
+// never std::terminate.
 TEST(ShardSim, TooWideJobThrowsInvalidArgumentAtEveryThreadCount) {
   const LightGrid grid = make_skewed_grid(4, 8, 1.0);  // 8 procs each
   JobSet jobs;
@@ -396,7 +281,7 @@ TEST(ShardSim, TooWideJobThrowsInvalidArgumentAtEveryThreadCount) {
   GridSimOptions with_bag;
   with_bag.bags = {{"tiny-bag", 4, 0.2, 1, 1.0}};
   for (const GridSimOptions& opts : {bag_free, with_bag}) {
-    SCOPED_TRACE(opts.bags.empty() ? "static" : "coupled -> static");
+    SCOPED_TRACE(opts.bags.empty() ? "static" : "bags");
     GridSim serial(grid, opts);
     serial.submit_workloads(split_by_community(jobs, 4));
     EXPECT_THROW(serial.run(), std::invalid_argument);
@@ -404,9 +289,40 @@ TEST(ShardSim, TooWideJobThrowsInvalidArgumentAtEveryThreadCount) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       ShardGridSim sharded(grid, opts, threads);
       sharded.submit_workloads(split_by_community(jobs, 4));
-      EXPECT_EQ(sharded.shard_count(), threads);
+      EXPECT_EQ(sharded.shard_count(), opts.bags.empty() ? threads : 1);
       EXPECT_THROW(sharded.run(), std::invalid_argument);
     }
+  }
+}
+
+// Up-front routing covers only the arrivals the horizon admits: a job
+// wider than every cluster released after a finite horizon never
+// routes, so it throws at no thread count — as in the serial engine.
+TEST(ShardSim, TooWideJobPastTheHorizonNeverRoutes) {
+  const LightGrid grid = make_skewed_grid(4, 8, 1.0);  // 8 procs each
+  JobSet jobs;
+  for (int c = 0; c < 4; ++c) {
+    Rng rng(mix_seed(31, static_cast<std::uint64_t>(c)));
+    append_workload(jobs, make_community_workload(
+                              static_cast<Community>(c), 10, rng,
+                              static_cast<JobId>(c) * 100, 0.05, 5.0));
+  }
+  jobs.push_back(Job::rigid(9999, /*procs=*/64, /*duration=*/1.0,
+                            /*release=*/1000.0));
+  const Time horizon = 500.0;
+  GridSim serial(grid, GridSimOptions{});
+  serial.submit_workloads(split_by_community(jobs, 4));
+  const GridSimResult want = serial.run(horizon);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ShardGridSim sharded(grid, GridSimOptions{}, threads);
+    sharded.submit_workloads(split_by_community(jobs, 4));
+    EXPECT_EQ(sharded.shard_count(), threads);
+    GridSimResult res;
+    EXPECT_NO_THROW(res = sharded.run(horizon));
+    EXPECT_EQ(res.horizon, horizon);
+    EXPECT_EQ(digest_grid_result(sharded, res),
+              digest_grid_result(serial, want));
   }
 }
 

@@ -3,6 +3,8 @@
 // the same pinned golden digests — including across a mid-stream
 // checkpoint/restore split, under real producer-thread backpressure,
 // and with the NDJSON sink observing every completion exactly once.
+// Plus unit tests for the SPSC ring (core/spsc_ring.h) the service
+// ingests through, including the push_n/pop_n bulk operations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "core/spsc_ring.h"
 #include "grid_golden_scenarios.h"
 #include "sim/stream_sim.h"
 
@@ -266,6 +269,131 @@ TEST(StreamSim, LifecycleGuards) {
   EXPECT_THROW(svc.restore(junk), std::logic_error);
   // And a fresh one rejects garbage bytes outright.
   EXPECT_THROW(other.restore(junk), CheckpointError);
+}
+
+// ---------------------------------------------------------------------------
+// SPSC ring
+// ---------------------------------------------------------------------------
+
+TEST(SpscRing, FifoOrderAndWraparound) {
+  SpscRing<int> ring(4);  // rounds to 4: wraps many times below
+  int next_out = 0, queued = 0;
+  int out[4];
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(ring.try_push(i));
+    ++queued;
+    // Drain to a varying target occupancy (0..3) so the indices wrap at
+    // every phase offset.
+    while (queued > i % 4) {
+      ASSERT_EQ(ring.pop_n(out, 1), 1u);
+      EXPECT_EQ(out[0], next_out++);
+      --queued;
+    }
+  }
+  while (ring.pop_n(out, 1) == 1) EXPECT_EQ(out[0], next_out++);
+  EXPECT_EQ(next_out, 1000);
+}
+
+TEST(SpscRing, TryPushFailsOnlyWhenFull) {
+  SpscRing<int> ring(2);
+  EXPECT_TRUE(ring.try_push(1));
+  EXPECT_TRUE(ring.try_push(2));
+  EXPECT_FALSE(ring.try_push(3));
+  int out;
+  ASSERT_EQ(ring.pop_n(&out, 1), 1u);
+  EXPECT_EQ(out, 1);
+  EXPECT_TRUE(ring.try_push(3));
+}
+
+TEST(SpscRing, BulkPushPopWraparound) {
+  SpscRing<int> ring(8);
+  int in = 0, out = 0;
+  int ibuf[5], obuf[8];
+  // Varying batch sizes shift the ring offset every iteration, so the
+  // two-segment memcpy split is exercised at every phase.
+  for (int iter = 0; iter < 500; ++iter) {
+    const std::size_t n = 1 + static_cast<std::size_t>(iter % 5);
+    for (std::size_t i = 0; i < n; ++i) ibuf[i] = in++;
+    ASSERT_EQ(ring.try_push_n(ibuf, n), n);
+    ASSERT_EQ(ring.pop_n(obuf, 8), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(obuf[i], out++);
+  }
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(ring.pop_n(obuf, 8), 0u);
+}
+
+TEST(SpscRing, TryPushNPartialWhenNearlyFull) {
+  SpscRing<int> ring(4);
+  int buf[6] = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(ring.try_push_n(buf, 6), 4u);  // partial: only 4 slots free
+  EXPECT_EQ(ring.try_push_n(buf, 1), 0u);  // full
+  int obuf[4];
+  ASSERT_EQ(ring.pop_n(obuf, 4), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(obuf[i], i);
+}
+
+TEST(SpscRing, WaitPopNDrainsResidueAfterClose) {
+  SpscRing<int> ring(8);
+  const int items[3] = {7, 8, 9};
+  ring.push_n(items, 3);
+  ring.close();  // close mid-batch: the residue must still drain
+  int obuf[2];
+  ASSERT_EQ(ring.wait_pop_n(obuf, 2), 2u);
+  EXPECT_EQ(obuf[0], 7);
+  EXPECT_EQ(obuf[1], 8);
+  ASSERT_EQ(ring.wait_pop_n(obuf, 2), 1u);
+  EXPECT_EQ(obuf[0], 9);
+  EXPECT_EQ(ring.wait_pop_n(obuf, 2), 0u);  // closed AND drained
+}
+
+TEST(SpscRing, CrossThreadBulkStreamKeepsOrder) {
+  constexpr int kItems = 60000;
+  SpscRing<int> ring(64);
+  std::thread producer([&ring] {
+    int next = 0;
+    int batch[17];
+    while (next < kItems) {
+      std::size_t n = 1 + static_cast<std::size_t>(next % 17);
+      if (next + static_cast<int>(n) > kItems)
+        n = static_cast<std::size_t>(kItems - next);
+      for (std::size_t i = 0; i < n; ++i) batch[i] = next++;
+      ring.push_n(batch, n);
+    }
+    ring.close();
+  });
+  int expected = 0;
+  bool ordered = true;
+  int buf[16];
+  while (const std::size_t n = ring.wait_pop_n(buf, 16)) {
+    for (std::size_t i = 0; i < n; ++i)
+      ordered = ordered && (buf[i] == expected++);
+  }
+  producer.join();
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(expected, kItems);
+}
+
+TEST(SpscRing, CrossThreadStreamKeepsOrder) {
+  constexpr int kItems = 50000;
+  SpscRing<int> ring(64);
+  std::thread producer([&ring] {
+    for (int i = 0; i < kItems; ++i) ring.push(i);
+    ring.close();
+  });
+  long long sum = 0;
+  int expected = 0;
+  bool ordered = true;
+  int buf[16];
+  while (const std::size_t n = ring.wait_pop_n(buf, 16)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ordered = ordered && (buf[i] == expected++);
+      sum += buf[i];
+    }
+  }
+  producer.join();
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(expected, kItems);
+  EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
 }
 
 }  // namespace
